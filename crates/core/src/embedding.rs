@@ -10,6 +10,7 @@
 //! shapes form dense trajectories and anomalies remain isolated.
 
 use s2g_linalg::matrix::DMatrix;
+use s2g_linalg::par;
 use s2g_linalg::pca::{Pca, PcaSolver};
 use s2g_linalg::rotation::{align_to_x_axis, Rotation3};
 use s2g_linalg::vector::{Vec2, Vec3};
@@ -17,6 +18,10 @@ use s2g_timeseries::{stats, TimeSeries};
 
 use crate::config::S2gConfig;
 use crate::error::{Error, Result};
+
+/// Rolling-sum values read by the fit's projection loop (`rows · (ℓ − λ)`)
+/// below which one more thread is not worth spawning.
+const MIN_PROJECTED_VALUES_PER_THREAD: usize = 1 << 20;
 
 /// The fitted embedding: PCA + rotation learned on the training series, plus
 /// the projected trajectory of that series.
@@ -108,13 +113,25 @@ impl Embedding {
         // Project and rotate every subsequence row-by-row from the rolling
         // sums, keeping (y, z). The slice conv[i..i+dim] carries exactly the
         // values row i of the materialised matrix held, so the trajectory is
-        // bit-identical to the matrix-backed fit.
-        let mut points = Vec::with_capacity(n_points);
-        for i in 0..n_points {
-            let reduced = pca.transform_row(&conv[i..i + dim])?;
-            let rotated = rotation.apply(Vec3::from_slice(&reduced));
-            points.push(Vec2::new(rotated.y, rotated.z));
-        }
+        // bit-identical to the matrix-backed fit. Large fits project
+        // contiguous blocks of rows on separate threads, concatenated in
+        // order; a single block is kept as is.
+        let threads = par::threads_for(n_points * dim, MIN_PROJECTED_VALUES_PER_THREAD);
+        let mut blocks = par::map_ranges(par::split_even(n_points, threads), |rows| {
+            rows.map(|i| {
+                let reduced = pca
+                    .transform_row(&conv[i..i + dim])
+                    .expect("the PCA was fitted on rows of this width");
+                let rotated = rotation.apply(Vec3::from_slice(&reduced));
+                Vec2::new(rotated.y, rotated.z)
+            })
+            .collect::<Vec<Vec2>>()
+        });
+        let points = if blocks.len() == 1 {
+            blocks.pop().expect("one block")
+        } else {
+            blocks.concat()
+        };
 
         Ok(Self {
             pattern_length: ell,
@@ -311,6 +328,24 @@ mod tests {
         for (a, b) in emb.points.iter().zip(reprojected.iter()) {
             assert!(a.distance(b) < 1e-9);
         }
+    }
+
+    #[test]
+    fn fan_out_projection_matches_project_bit_for_bit() {
+        // Long enough that the fit's projection loop leaves the calling
+        // thread on a multi-core host; `project` always runs on one.
+        let config = S2gConfig::new(100);
+        let dim = config.pattern_length - config.lambda;
+        let rows = 2 * MIN_PROJECTED_VALUES_PER_THREAD / dim + 10;
+        let series = sine_series(rows + config.pattern_length - 1, 70.0);
+        let emb = Embedding::fit(&series, &config).unwrap();
+        let bits = |points: &[Vec2]| {
+            points
+                .iter()
+                .map(|p| (p.x.to_bits(), p.y.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&emb.points), bits(&emb.project(&series).unwrap()));
     }
 
     #[test]

@@ -29,7 +29,8 @@ pub struct AdaptationLineage {
 
 /// A fitted Series2Graph model: the embedding (PCA + rotation), the pattern
 /// node set, the transition graph `G_ℓ(N, E)`, and the per-gap contributions
-/// of the training series that make training-series scoring `O(|T|)`.
+/// of the training series (the baseline drift calibration and persistence
+/// read).
 #[derive(Debug, Clone)]
 pub struct Series2Graph {
     config: S2gConfig,
@@ -192,21 +193,15 @@ impl Series2Graph {
     /// Normality score of every subsequence of length `query_length` of a
     /// series (Definition 10). Higher is more normal.
     ///
-    /// When `series` is the training series the per-gap contributions cached
-    /// at fit time are reused; otherwise the series is projected with the
-    /// fitted embedding and mapped onto the existing graph (`Time2Path`),
-    /// with unseen transitions contributing zero normality.
+    /// The series is projected with the fitted embedding and mapped onto
+    /// the existing graph (`Time2Path`), with unseen transitions
+    /// contributing zero normality. Re-scoring the training series this way
+    /// reproduces [`Series2Graph::train_contributions`] bit for bit.
     pub fn normality_scores(&self, series: &TimeSeries, query_length: usize) -> Result<Vec<f64>> {
         self.check_query_length(query_length)?;
-        let contributions = if series.len() == self.train_len {
-            // Same length as the training series: assume it is the training
-            // series (exact re-projection would yield identical results).
-            self.train_contributions.clone()
-        } else {
-            let points = self.embedding.project(series)?;
-            let transitions = EdgeExtraction::map_transitions(&points, &self.nodes);
-            scoring::gap_contributions(&self.graph, &transitions)
-        };
+        let points = self.embedding.project(series)?;
+        let transitions = EdgeExtraction::map_transitions(&points, &self.nodes);
+        let contributions = scoring::gap_contributions(&self.graph, &transitions);
         let profile =
             scoring::normality_profile(&contributions, self.config.pattern_length, query_length);
         if self.config.smooth_scores {
@@ -357,6 +352,29 @@ mod tests {
             model.anomaly_scores(&series, 40),
             Err(Error::QueryShorterThanPattern { .. })
         ));
+    }
+
+    #[test]
+    fn same_length_series_are_scored_on_their_own_values() {
+        // A clean series and a copy with a planted burst have the same
+        // length as the training series; each must get its own scores.
+        let clean = series_with_anomalies(10_000, &[], 150);
+        let burst = series_with_anomalies(10_000, &[6200], 150);
+        let model = Series2Graph::fit(&clean, &S2gConfig::new(50)).unwrap();
+        let clean_scores = model.anomaly_scores(&clean, 150).unwrap();
+        let burst_scores = model.anomaly_scores(&burst, 150).unwrap();
+        assert_ne!(clean_scores, burst_scores);
+        let top = model.top_k_anomalies(&burst_scores, 1, 150)[0];
+        assert!((6200 - 150..6200 + 150).contains(&top), "top window {top}");
+
+        // Re-scoring the training series reproduces the profile of the
+        // cached fit-time contributions bit for bit.
+        let cached = scoring::normality_profile(model.train_contributions(), 50, 150);
+        let cached = scoring::smooth_profile(&cached, 50);
+        assert!(model.config().smooth_scores);
+        let rescored = model.normality_scores(&clean, 150).unwrap();
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&rescored), bits(&cached));
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! maximum becomes a node: the densest sections of the trajectory, i.e. the
 //! recurrent patterns of the series.
 
+use std::cell::RefCell;
+
 use s2g_linalg::kde::{scott_bandwidth, GaussianKde};
+use s2g_linalg::par;
 use s2g_linalg::vector::Vec2;
 
 use crate::config::{BandwidthRule, S2gConfig};
@@ -28,11 +31,34 @@ pub struct RayCrossing {
 /// Computes all crossings of the segment `p0 → p1` with the `rate` rays.
 /// Crossings are returned ordered by their position `t` along the segment.
 pub fn segment_crossings(p0: Vec2, p1: Vec2, rate: usize, out: &mut Vec<RayCrossing>) {
+    thread_local! {
+        /// The ray table of the last `rate` this thread asked for.
+        static RAYS: RefCell<Vec<Vec2>> = const { RefCell::new(Vec::new()) };
+    }
     out.clear();
-    let tau = std::f64::consts::TAU;
-    for ray in 0..rate {
-        let psi = ray as f64 * tau / rate as f64;
-        let u = Vec2::from_angle(psi);
+    RAYS.with_borrow_mut(|rays| {
+        if rays.len() != rate {
+            *rays = ray_table(rate);
+        }
+        visit_crossings(p0, p1, rays, |crossing| out.push(crossing));
+    });
+    out.sort_by(|a, b| a.t.partial_cmp(&b.t).unwrap_or(std::cmp::Ordering::Equal));
+}
+
+/// Unit vectors of the `rate` rays, `ψ_k = k·2π/rate`. Every crossing and
+/// every node extraction reads its rays from this one expression.
+fn ray_table(rate: usize) -> Vec<Vec2> {
+    (0..rate)
+        .map(|ray| Vec2::from_angle(ray as f64 * std::f64::consts::TAU / rate as f64))
+        .collect()
+}
+
+/// Calls `visit` with every crossing of the segment `p0 → p1` with the rays
+/// whose unit vectors `rays` holds, in ray order. A segment meets each ray
+/// at most once, so per ray the crossings of a trajectory arrive in segment
+/// order.
+fn visit_crossings(p0: Vec2, p1: Vec2, rays: &[Vec2], mut visit: impl FnMut(RayCrossing)) {
+    for (ray, u) in rays.iter().enumerate() {
         // Signed "side" of each endpoint relative to the line through the origin
         // with direction u (cross product).
         let c0 = u.cross(&p0);
@@ -61,11 +87,14 @@ pub fn segment_crossings(p0: Vec2, p1: Vec2, rate: usize, out: &mut Vec<RayCross
         let point = Vec2::new(p0.x + t * (p1.x - p0.x), p0.y + t * (p1.y - p0.y));
         let radius = u.dot(&point);
         if radius > 0.0 {
-            out.push(RayCrossing { ray, radius, t });
+            visit(RayCrossing { ray, radius, t });
         }
     }
-    out.sort_by(|a, b| a.t.partial_cmp(&b.t).unwrap_or(std::cmp::Ordering::Equal));
 }
+
+/// Segments of the trajectory times rays (`(|points| − 1) · rate` ray
+/// tests) below which node extraction does not spawn one more thread.
+const MIN_RAY_TESTS_PER_THREAD: usize = 1 << 20;
 
 /// The pattern node set: per ray, the sorted radii of the extracted nodes.
 ///
@@ -89,29 +118,59 @@ impl NodeSet {
     /// [`Error::DegenerateEmbedding`] when the trajectory never crosses any
     /// ray (e.g. fewer than two embedded points).
     pub fn extract(points: &[Vec2], config: &S2gConfig) -> Result<Self> {
+        let ray_tests = points.len().saturating_sub(1).saturating_mul(config.rate);
+        Self::extract_on(
+            points,
+            config,
+            par::threads_for(ray_tests, MIN_RAY_TESTS_PER_THREAD),
+        )
+    }
+
+    /// [`NodeSet::extract`] on an explicit number of threads.
+    ///
+    /// The segments are split into contiguous chunks, one per thread, and
+    /// each chunk collects its per-ray radii. The per-ray KDE then runs over
+    /// contiguous blocks of rays, reassembled by ray index; each ray reads
+    /// its parts of the chunks in chunk order, so its radius set is in
+    /// segment order on any thread count. Output is bit-identical for every
+    /// `threads`.
+    pub(crate) fn extract_on(points: &[Vec2], config: &S2gConfig, threads: usize) -> Result<Self> {
         let rate = config.rate;
-        let mut radius_sets: Vec<Vec<f64>> = vec![Vec::new(); rate];
-        let mut buffer = Vec::with_capacity(8);
-        for pair in points.windows(2) {
-            segment_crossings(pair[0], pair[1], rate, &mut buffer);
-            for crossing in &buffer {
-                radius_sets[crossing.ray].push(crossing.radius);
+        let rays = ray_table(rate);
+        let segments = points.len().saturating_sub(1);
+        let chunks = par::map_ranges(par::split_even(segments, threads), |range| {
+            let mut sets: Vec<Vec<f64>> = vec![Vec::new(); rate];
+            let end = (range.end + 1).min(points.len());
+            for pair in points[range.start..end].windows(2) {
+                visit_crossings(pair[0], pair[1], &rays, |crossing| {
+                    sets[crossing.ray].push(crossing.radius)
+                });
             }
-        }
-        if radius_sets.iter().all(|s| s.is_empty()) {
+            sets
+        });
+        if chunks.iter().flatten().all(Vec::is_empty) {
             return Err(Error::DegenerateEmbedding(
                 "trajectory never crosses any ray; cannot extract nodes",
             ));
         }
 
-        let mut radii = Vec::with_capacity(rate);
-        for set in radius_sets.into_iter() {
-            if set.is_empty() {
-                radii.push(Vec::new());
-                continue;
-            }
-            radii.push(extract_ray_nodes(&set, config));
-        }
+        let radii: Vec<Vec<f64>> = par::map_ranges(par::split_even(rate, threads), |block| {
+            block
+                .map(|ray| {
+                    // The ray's radius set in segment order: its part of
+                    // chunk 0, then of chunk 1, …
+                    let set: Vec<f64> = chunks.iter().flat_map(|c| &c[ray]).copied().collect();
+                    if set.is_empty() {
+                        Vec::new()
+                    } else {
+                        extract_ray_nodes(&set, config)
+                    }
+                })
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
 
         let mut offsets = Vec::with_capacity(rate);
         let mut total = 0usize;
@@ -470,5 +529,150 @@ mod tests {
             fine.node_count(),
             coarse.node_count()
         );
+    }
+
+    /// The crossing kernel as it stood before the ray table: one `sin`/`cos`
+    /// pair per ray and segment. The reference the table must reproduce.
+    fn reference_crossings(p0: Vec2, p1: Vec2, rate: usize) -> Vec<RayCrossing> {
+        let mut out = Vec::new();
+        let tau = std::f64::consts::TAU;
+        for ray in 0..rate {
+            let u = Vec2::from_angle(ray as f64 * tau / rate as f64);
+            let (c0, c1) = (u.cross(&p0), u.cross(&p1));
+            if c1 == 0.0 {
+                continue;
+            }
+            if (c0 > 0.0 && c1 > 0.0) || (c0 < 0.0 && c1 < 0.0) {
+                continue;
+            }
+            let denom = c0 - c1;
+            if denom.abs() < f64::EPSILON {
+                continue;
+            }
+            let t = c0 / denom;
+            if !(0.0..=1.0).contains(&t) {
+                continue;
+            }
+            let point = Vec2::new(p0.x + t * (p1.x - p0.x), p0.y + t * (p1.y - p0.y));
+            let radius = u.dot(&point);
+            if radius > 0.0 {
+                out.push(RayCrossing { ray, radius, t });
+            }
+        }
+        out.sort_by(|a, b| a.t.partial_cmp(&b.t).unwrap_or(std::cmp::Ordering::Equal));
+        out
+    }
+
+    fn crossing_bits(crossings: &[RayCrossing]) -> Vec<(usize, u64, u64)> {
+        crossings
+            .iter()
+            .map(|c| (c.ray, c.radius.to_bits(), c.t.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn table_crossings_equal_the_per_ray_trig_reference() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(12);
+        let mut out = Vec::new();
+        for rate in [3usize, 7, 16, 50, 64] {
+            let rays = ray_table(rate);
+            let mut coord = || rng.gen_range(-4.0..4.0);
+            let mut segments: Vec<(Vec2, Vec2)> = (0..2_000)
+                .map(|_| (Vec2::new(coord(), coord()), Vec2::new(coord(), coord())))
+                .collect();
+            // Endpoints exactly on a ray: `u × u` is exactly zero, so these
+            // hit the `c1 == 0.0` (end) and `c0 == 0.0` (start) branches.
+            for (k, &u) in rays.iter().enumerate() {
+                let other = Vec2::new(coord(), coord());
+                segments.push((other, u));
+                segments.push((u, other));
+                segments.push((u, rays[(k + 1) % rate]));
+                segments.push((Vec2::new(2.5, 0.0), Vec2::new(-1.0, 0.0)));
+            }
+            for (p0, p1) in segments {
+                segment_crossings(p0, p1, rate, &mut out);
+                assert_eq!(
+                    crossing_bits(&out),
+                    crossing_bits(&reference_crossings(p0, p1, rate)),
+                    "rate {rate}, segment {p0:?} -> {p1:?}"
+                );
+            }
+        }
+    }
+
+    /// Embedded trajectories of seeded SRW, periodic, noise and
+    /// constant-stretch series of `n` points.
+    fn trajectories(n: usize) -> Vec<(&'static str, Vec<Vec2>)> {
+        use crate::embedding::Embedding;
+        use rand::{Rng, SeedableRng};
+        use s2g_datasets::srw::{generate_srw, SrwConfig};
+        use s2g_timeseries::TimeSeries;
+
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let srw = generate_srw(SrwConfig {
+            length: n,
+            num_anomalies: 2,
+            noise_ratio: 0.05,
+            anomaly_length: 200,
+            seed: 3,
+        })
+        .series;
+        let periodic: Vec<f64> = (0..n)
+            .map(|i| (std::f64::consts::TAU * i as f64 / 73.0).sin() + rng.gen_range(-0.1..0.1))
+            .collect();
+        let noise: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let stretches: Vec<f64> = (0..n)
+            .map(|i| match (i / 700) % 3 {
+                0 => 0.0,
+                1 => -0.0,
+                _ => (std::f64::consts::TAU * i as f64 / 90.0).sin(),
+            })
+            .collect();
+        let config = S2gConfig::new(50);
+        [
+            ("srw", srw),
+            ("periodic", TimeSeries::from(periodic)),
+            ("noise", TimeSeries::from(noise)),
+            ("stretches", TimeSeries::from(stretches)),
+        ]
+        .into_iter()
+        .map(|(name, series)| (name, Embedding::fit(&series, &config).unwrap().points))
+        .collect()
+    }
+
+    fn node_bits(nodes: &NodeSet) -> Vec<Vec<u64>> {
+        (0..nodes.rate())
+            .map(|ray| nodes.ray_nodes(ray).iter().map(|r| r.to_bits()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn fan_out_extraction_is_bit_identical_on_every_thread_count() {
+        let config = S2gConfig::new(50);
+        for (name, points) in trajectories(6_000) {
+            let single = node_bits(&NodeSet::extract_on(&points, &config, 1).unwrap());
+            for threads in [2, 3, 4, 7] {
+                let fanned = NodeSet::extract_on(&points, &config, threads).unwrap();
+                assert_eq!(node_bits(&fanned), single, "{name} on {threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn fan_out_extraction_is_bit_identical_around_the_cutoff() {
+        // `extract` leaves the calling thread from `cutoff` points on.
+        let config = S2gConfig::new(50);
+        let cutoff = 2 * MIN_RAY_TESTS_PER_THREAD / config.rate + 2;
+        for (name, points) in trajectories(cutoff + 60) {
+            for len in cutoff - 2..=cutoff + 2 {
+                let points = &points[..len];
+                assert_eq!(
+                    node_bits(&NodeSet::extract(points, &config).unwrap()),
+                    node_bits(&NodeSet::extract_on(points, &config, 1).unwrap()),
+                    "{name} at {len} points"
+                );
+            }
+        }
     }
 }

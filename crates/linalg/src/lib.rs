@@ -18,7 +18,10 @@
 //! * [`kde`] — Gaussian kernel density estimation with Scott's bandwidth rule
 //!   and local-maxima extraction, used to turn radius sets `I_ψ` into graph
 //!   nodes,
-//! * [`vector`] — small fixed-size vector helpers (`Vec2`/`Vec3`).
+//! * [`vector`] — small fixed-size vector helpers (`Vec2`/`Vec3`),
+//! * [`par`] — scoped fan-out of the fit kernels across threads, with
+//!   results reassembled in a fixed order so outputs never depend on the
+//!   thread count.
 //!
 //! Everything is deterministic given an explicit random seed; the only
 //! dependency is `rand` for the Gaussian test matrix of the randomized SVD.
@@ -30,6 +33,7 @@ pub mod eigen;
 pub mod error;
 pub mod kde;
 pub mod matrix;
+pub mod par;
 pub mod pca;
 pub mod rotation;
 pub mod svd;

@@ -4,6 +4,7 @@
 use crate::eigen::symmetric_eigen;
 use crate::error::{Error, Result};
 use crate::matrix::DMatrix;
+use crate::par;
 use crate::svd::{randomized_svd, RandomizedSvdOptions};
 
 /// Which solver computes the principal directions.
@@ -24,6 +25,10 @@ pub enum PcaSolver {
         seed: u64,
     },
 }
+
+/// Multiply-adds of the sliding Gram matrix (`n·d(d+1)/2`) below which one
+/// more thread is not worth spawning: a few milliseconds of work on one core.
+const MIN_GRAM_TERMS_PER_THREAD: usize = 1 << 23;
 
 /// A fitted PCA model: column means plus the top-`k` principal directions.
 #[derive(Debug, Clone)]
@@ -114,12 +119,30 @@ impl Pca {
     /// fitted model is **bit-identical** to
     /// `Pca::fit_with(&materialized, k, PcaSolver::Covariance)`.
     ///
+    /// Large inputs spread the column means (split by column) and the Gram
+    /// matrix (split by output row) across threads; each entry still sums
+    /// over the rows in the same order, so the result does not depend on the
+    /// thread count.
+    ///
     /// # Errors
     /// * [`Error::EmptyMatrix`] when `n == 0` or `d == 0`.
     /// * [`Error::ShapeMismatch`] when `windows` is shorter than the
     ///   `n + d − 1` values the windows span.
     /// * [`Error::TooManyComponents`] when `k == 0` or `k > min(n, d)`.
     pub fn fit_sliding_covariance(windows: &[f64], n: usize, d: usize, k: usize) -> Result<Self> {
+        let terms = n.saturating_mul(d).saturating_mul(d + 1) / 2;
+        let threads = par::threads_for(terms, MIN_GRAM_TERMS_PER_THREAD);
+        Self::fit_sliding_covariance_on(windows, n, d, k, threads)
+    }
+
+    /// [`Pca::fit_sliding_covariance`] on an explicit number of threads.
+    pub(crate) fn fit_sliding_covariance_on(
+        windows: &[f64],
+        n: usize,
+        d: usize,
+        k: usize,
+        threads: usize,
+    ) -> Result<Self> {
         if n == 0 || d == 0 {
             return Err(Error::EmptyMatrix);
         }
@@ -137,41 +160,8 @@ impl Pca {
             });
         }
 
-        // Column means, in DMatrix::column_means order (rows outer, columns
-        // inner, one division at the end).
-        let mut mean = vec![0.0; d];
-        for r in 0..n {
-            let row = &windows[r..r + d];
-            for (m, v) in mean.iter_mut().zip(row) {
-                *m += v;
-            }
-        }
-        let rows = n.max(1) as f64;
-        for m in &mut mean {
-            *m /= rows;
-        }
-
-        // Gram matrix of the centred rows, in DMatrix::gram order. One
-        // scratch row of length d replaces the n × d centred matrix; the
-        // `ri == 0.0` skip is kept because adding `0.0 * rj` can still flip
-        // a `-0.0` accumulator to `+0.0` — same arithmetic, same bits.
-        let mut cov = DMatrix::zeros(d, d);
-        let mut centered = vec![0.0; d];
-        for r in 0..n {
-            for (c, v) in centered.iter_mut().enumerate() {
-                *v = windows[r + c] - mean[c];
-            }
-            for i in 0..d {
-                let ri = centered[i];
-                if ri == 0.0 {
-                    continue;
-                }
-                let out_row = cov.row_mut(i);
-                for (j, &rj) in centered.iter().enumerate() {
-                    out_row[j] += ri * rj;
-                }
-            }
-        }
+        let mean = sliding_column_means(windows, n, d, threads);
+        let mut cov = sliding_gram(windows, &mean, n, threads);
         let denom = (n.max(2) - 1) as f64;
         cov.scale_in_place(1.0 / denom);
         Self::from_covariance(mean, &cov, k)
@@ -330,6 +320,89 @@ impl Pca {
         }
         Ok(out)
     }
+}
+
+/// Column means of the `n` windows `windows[r .. r + d]`, in
+/// [`DMatrix::column_means`] order (rows outer, one division at the end).
+/// Columns are split across `threads`; each column's sum is unchanged.
+fn sliding_column_means(windows: &[f64], n: usize, d: usize, threads: usize) -> Vec<f64> {
+    let rows = n.max(1) as f64;
+    let mut mean = vec![0.0; d];
+    par::for_each_chunk_mut(&mut mean, threads, |first, cols| {
+        for r in 0..n {
+            for (m, v) in cols.iter_mut().zip(&windows[r + first..]) {
+                *m += v;
+            }
+        }
+        for m in cols {
+            *m /= rows;
+        }
+    });
+    mean
+}
+
+/// Gram matrix of the centred windows, in [`DMatrix::gram`] order per entry.
+///
+/// Only the upper triangle `j ≥ i` is accumulated, then mirrored. That is
+/// bit-exact for finite input: `gram[i][j]` and `gram[j][i]` sum the same
+/// products `ri·rj` over the same rows in the same order, and differ only in
+/// which exact `±0` products the `ri == 0.0` skip leaves out. An accumulator
+/// that starts at `+0.0` can never become `−0.0` (`x + (−x)` rounds to
+/// `+0.0`, and `+0.0 + −0.0` is `+0.0`), so adding or skipping a `±0` term
+/// never changes its bits.
+///
+/// Output rows are split across `threads` in contiguous blocks of about
+/// equal triangle area; every thread walks all `n` windows in order.
+fn sliding_gram(windows: &[f64], mean: &[f64], n: usize, threads: usize) -> DMatrix {
+    let d = mean.len();
+    let blocks = par::map_ranges(triangle_rows(d, threads), |rows| {
+        let first = rows.start;
+        let mut block = vec![0.0; rows.len() * d];
+        // Centred values of columns first..d, the only ones rows ≥ first read.
+        let mut centered = vec![0.0; d - first];
+        for r in 0..n {
+            for (c, v) in centered.iter_mut().enumerate() {
+                *v = windows[r + first + c] - mean[first + c];
+            }
+            for (out_row, i) in block.chunks_exact_mut(d).zip(rows.clone()) {
+                let tail = &centered[i - first..];
+                let ri = tail[0];
+                if ri == 0.0 {
+                    continue;
+                }
+                for (o, &rj) in out_row[i..].iter_mut().zip(tail) {
+                    *o += ri * rj;
+                }
+            }
+        }
+        block
+    });
+    let mut data = blocks.concat();
+    for i in 0..d {
+        for j in 0..i {
+            data[i * d + j] = data[j * d + i];
+        }
+    }
+    DMatrix::from_vec(d, d, data).expect("d × d Gram data has d² entries")
+}
+
+/// Splits the rows `0..d` of an upper triangle (row `i` holds `d − i`
+/// entries) into at most `parts` contiguous blocks of about equal area.
+fn triangle_rows(d: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
+    let parts = parts.clamp(1, d.max(1));
+    let total = d * (d + 1) / 2;
+    let mut ranges = Vec::with_capacity(parts);
+    let (mut start, mut area) = (0, 0);
+    for i in 0..d {
+        area += d - i;
+        let done = ranges.len() + 1;
+        if done < parts && area * parts >= done * total {
+            ranges.push(start..i + 1);
+            start = i + 1;
+        }
+    }
+    ranges.push(start..d);
+    ranges
 }
 
 #[cfg(test)]
@@ -496,6 +569,98 @@ mod tests {
                 .sum::<f64>()
                 .sqrt();
             assert!((n - 1.0).abs() < 1e-9, "component {c} norm {n}");
+        }
+    }
+
+    /// Rolling-sum-like buffers of `len` values: a seeded random walk, a
+    /// noisy sine, uniform noise, and zero stretches (of both signs) between
+    /// ±1 pulses whose column sums are exactly zero, so the centred rows
+    /// hold exact `±0.0` entries.
+    fn fan_out_buffers(len: usize) -> Vec<(&'static str, Vec<f64>)> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
+        let mut level = 0.0;
+        let walk = (0..len)
+            .map(|_| {
+                level += rng.gen_range(-1.0..1.0);
+                level
+            })
+            .collect();
+        let periodic = (0..len)
+            .map(|i| (i as f64 * 0.21).sin() * 3.0 + rng.gen_range(-0.2..0.2))
+            .collect();
+        let noise = (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let stretches = (0..len)
+            .map(|i| match i % 40 {
+                20..=24 => 1.0,
+                30..=34 => -1.0,
+                p if p % 2 == 0 => 0.0,
+                _ => -0.0,
+            })
+            .collect();
+        vec![
+            ("walk", walk),
+            ("periodic", periodic),
+            ("noise", noise),
+            ("stretches", stretches),
+        ]
+    }
+
+    fn pca_bits(pca: &Pca) -> Vec<u64> {
+        let mut bits: Vec<u64> = pca.mean().iter().map(|x| x.to_bits()).collect();
+        bits.extend(pca.components().as_slice().iter().map(|x| x.to_bits()));
+        bits.extend(pca.explained_variance().iter().map(|x| x.to_bits()));
+        bits.push(pca.total_variance().to_bits());
+        bits
+    }
+
+    #[test]
+    fn fan_out_gram_is_bit_identical_on_every_thread_count() {
+        let d = 24;
+        // A multiple of the pulse period, so every column of the stretch
+        // buffer sums to exactly zero.
+        let n = 1_200;
+        for (name, buffer) in fan_out_buffers(n + d - 1) {
+            let rows: Vec<Vec<f64>> = (0..n).map(|i| buffer[i..i + d].to_vec()).collect();
+            let full_gram = Pca::fit(&DMatrix::from_rows(&rows).unwrap(), 3).unwrap();
+            let expected = pca_bits(&full_gram);
+            if name == "stretches" {
+                assert!(full_gram.mean().iter().all(|m| *m == 0.0));
+            }
+            for threads in [1, 2, 3, 4, 7] {
+                let fanned = Pca::fit_sliding_covariance_on(&buffer, n, d, 3, threads).unwrap();
+                assert_eq!(pca_bits(&fanned), expected, "{name} on {threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn fan_out_gram_is_bit_identical_around_the_cutoff() {
+        // `fit_sliding_covariance` leaves the calling thread from `cutoff`
+        // windows on.
+        let d = 64;
+        let cutoff = (2 * MIN_GRAM_TERMS_PER_THREAD).div_ceil(d * (d + 1) / 2);
+        for (name, buffer) in fan_out_buffers(cutoff + 2 + d) {
+            for n in cutoff - 1..=cutoff + 1 {
+                assert_eq!(
+                    pca_bits(&Pca::fit_sliding_covariance(&buffer, n, d, 3).unwrap()),
+                    pca_bits(&Pca::fit_sliding_covariance_on(&buffer, n, d, 3, 1).unwrap()),
+                    "{name} at {n} windows"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn triangle_rows_cover_the_rows_in_order() {
+        for d in 1..40 {
+            for parts in 1..9 {
+                let ranges = triangle_rows(d, parts);
+                assert!(ranges.len() <= parts);
+                assert_eq!(ranges[0].start, 0);
+                assert_eq!(ranges.last().unwrap().end, d);
+                assert!(ranges.windows(2).all(|w| w[0].end == w[1].start));
+            }
         }
     }
 }

@@ -4,8 +4,10 @@
 //! (`curl` included) while staying dependency-free:
 //!
 //! * request line `METHOD SP /path[?query] SP HTTP/1.1`, CRLF line endings;
-//! * headers until an empty line; `Content-Length` and `Connection` are
-//!   interpreted, the rest are skipped;
+//! * headers until an empty line; `Content-Length`, `Connection`, `Expect`
+//!   and `X-S2g-Deadline-Ms` are interpreted, the rest are skipped;
+//! * `Expect: 100-continue` on an HTTP/1.1 request with a body is answered
+//!   with an interim `100 Continue` before the body is read;
 //! * bodies require an explicit `Content-Length` (no chunked encoding);
 //! * connections are **persistent** by default for HTTP/1.1
 //!   (`Connection: close` opts out) and close by default for HTTP/1.0
@@ -136,8 +138,15 @@ pub enum ParseError {
 /// the caller's `BufReader` instead of being dropped with a throwaway one,
 /// which would desynchronise the connection.
 ///
+/// The head and the body are read in two steps. Between them, a request
+/// that carries `Expect: 100-continue` and a non-empty body gets the
+/// interim `HTTP/1.1 100 Continue` written to `interim` (the socket), so a
+/// client that waits for it before sending the body — curl does for bodies
+/// over 1 MiB — sends it at once. HTTP/1.0 requests never get a `100`.
+///
 /// `max_body_bytes` caps the accepted `Content-Length`; a larger declared
-/// body is rejected as [`ParseError::BodyTooLarge`] without reading it.
+/// body is rejected as [`ParseError::BodyTooLarge`] without reading it and
+/// without a `100 Continue`.
 ///
 /// # Example
 ///
@@ -146,7 +155,7 @@ pub enum ParseError {
 ///
 /// let raw: &[u8] = b"PUT /models/pump-7?pattern_length=50 HTTP/1.1\r\n\
 ///                    Content-Length: 4\r\n\r\n1\n2\n";
-/// let request = read_request(raw, 1024).unwrap();
+/// let request = read_request(raw, std::io::sink(), 1024).unwrap();
 /// assert_eq!(request.method, Method::Put);
 /// assert_eq!(request.segments, vec!["models", "pump-7"]);
 /// assert_eq!(request.query_param("pattern_length"), Some("50"));
@@ -155,11 +164,47 @@ pub enum ParseError {
 ///
 /// # Errors
 /// [`ParseError`] describing the first violation encountered.
-pub fn read_request<R: BufRead>(
+pub fn read_request<R: BufRead, W: Write>(
     mut reader: R,
+    mut interim: W,
     max_body_bytes: usize,
 ) -> Result<Request, ParseError> {
-    let request_line = read_crlf_line(&mut reader, MAX_REQUEST_LINE)?;
+    let head = read_head(&mut reader)?;
+    if head.content_length > max_body_bytes {
+        return Err(ParseError::BodyTooLarge {
+            declared: head.content_length,
+            limit: max_body_bytes,
+        });
+    }
+    if head.expect_continue && head.http11 && head.content_length > 0 {
+        interim
+            .write_all(b"HTTP/1.1 100 Continue\r\n\r\n")
+            .and_then(|()| interim.flush())
+            .map_err(|e| ParseError::Io(e.kind()))?;
+    }
+    let mut body = vec![0u8; head.content_length];
+    reader
+        .read_exact(&mut body)
+        .map_err(|e| ParseError::Io(e.kind()))?;
+    Ok(build_request(head, body))
+}
+
+/// Everything of a request before its body.
+struct RequestHead {
+    method: Method,
+    target: String,
+    http11: bool,
+    content_length: usize,
+    keep_alive: bool,
+    deadline_ms: Option<u64>,
+    /// The request carries `Expect: 100-continue`.
+    expect_continue: bool,
+}
+
+/// Reads the request line and the headers, up to and including the blank
+/// line that ends them.
+fn read_head<R: BufRead>(reader: &mut R) -> Result<RequestHead, ParseError> {
+    let request_line = read_crlf_line(reader, MAX_REQUEST_LINE)?;
     if request_line.is_empty() {
         return Err(ParseError::ConnectionClosed);
     }
@@ -179,42 +224,51 @@ pub fn read_request<R: BufRead>(
         return Err(ParseError::Malformed("request target must start with '/'"));
     }
 
-    // Headers: Content-Length and Connection are interpreted, the rest are
-    // skipped. Persistence defaults follow the HTTP version: 1.1 keeps the
-    // connection unless told otherwise, 1.0 closes unless told otherwise.
-    let mut content_length: usize = 0;
-    let mut keep_alive = version == "HTTP/1.1";
-    let mut deadline_ms: Option<u64> = None;
+    // Headers: Content-Length, Connection, Expect and X-S2g-Deadline-Ms
+    // are interpreted, the rest are skipped. Persistence defaults follow
+    // the HTTP version: 1.1 keeps the connection unless told otherwise, 1.0
+    // closes unless told otherwise.
+    let http11 = version == "HTTP/1.1";
+    let mut head = RequestHead {
+        method,
+        target: target.to_string(),
+        http11,
+        content_length: 0,
+        keep_alive: http11,
+        deadline_ms: None,
+        expect_continue: false,
+    };
     for _ in 0..MAX_HEADERS {
-        let line = read_crlf_line(&mut reader, MAX_HEADER_LINE)?;
+        let line = read_crlf_line(reader, MAX_HEADER_LINE)?;
         if line.is_empty() {
-            let body = read_body(&mut reader, content_length, max_body_bytes)?;
-            return Ok(build_request(method, target, body, keep_alive, deadline_ms));
+            return Ok(head);
         }
         let Some((name, value)) = line.split_once(':') else {
             return Err(ParseError::Malformed("header line without ':'"));
         };
         let name = name.trim();
         if name.eq_ignore_ascii_case("content-length") {
-            content_length = value
+            head.content_length = value
                 .trim()
                 .parse()
                 .map_err(|_| ParseError::Malformed("unparseable Content-Length"))?;
         } else if name.eq_ignore_ascii_case("x-s2g-deadline-ms") {
-            deadline_ms = Some(
+            head.deadline_ms = Some(
                 value
                     .trim()
                     .parse()
                     .map_err(|_| ParseError::Malformed("unparseable X-S2g-Deadline-Ms"))?,
             );
+        } else if name.eq_ignore_ascii_case("expect") {
+            head.expect_continue = value.trim().eq_ignore_ascii_case("100-continue");
         } else if name.eq_ignore_ascii_case("connection") {
             // Token list; the tokens we honor are `close` and `keep-alive`.
             for token in value.split(',') {
                 let token = token.trim();
                 if token.eq_ignore_ascii_case("close") {
-                    keep_alive = false;
+                    head.keep_alive = false;
                 } else if token.eq_ignore_ascii_case("keep-alive") {
-                    keep_alive = true;
+                    head.keep_alive = true;
                 }
             }
         }
@@ -222,31 +276,8 @@ pub fn read_request<R: BufRead>(
     Err(ParseError::Malformed("too many headers"))
 }
 
-fn read_body<R: BufRead>(
-    reader: &mut R,
-    content_length: usize,
-    max_body_bytes: usize,
-) -> Result<Vec<u8>, ParseError> {
-    if content_length > max_body_bytes {
-        return Err(ParseError::BodyTooLarge {
-            declared: content_length,
-            limit: max_body_bytes,
-        });
-    }
-    let mut body = vec![0u8; content_length];
-    reader
-        .read_exact(&mut body)
-        .map_err(|e| ParseError::Io(e.kind()))?;
-    Ok(body)
-}
-
-fn build_request(
-    method: Method,
-    target: &str,
-    body: Vec<u8>,
-    keep_alive: bool,
-    deadline_ms: Option<u64>,
-) -> Request {
+fn build_request(head: RequestHead, body: Vec<u8>) -> Request {
+    let target = head.target.as_str();
     let (path, query_text) = match target.split_once('?') {
         Some((p, q)) => (p, q),
         None => (target, ""),
@@ -265,13 +296,13 @@ fn build_request(
         })
         .collect();
     Request {
-        method,
+        method: head.method,
         path: path.to_string(),
         segments,
         query,
         body,
-        keep_alive,
-        deadline_ms,
+        keep_alive: head.keep_alive,
+        deadline_ms: head.deadline_ms,
     }
 }
 
@@ -420,7 +451,39 @@ mod tests {
     use super::*;
 
     fn parse(raw: &[u8]) -> Result<Request, ParseError> {
-        read_request(raw, 1024)
+        read_request(raw, std::io::sink(), 1024)
+    }
+
+    /// Parses `raw` and returns what the parser wrote back before the body.
+    fn interim(raw: &[u8]) -> (Result<Request, ParseError>, String) {
+        let mut written = Vec::new();
+        let parsed = read_request(raw, &mut written, 1024);
+        (parsed, String::from_utf8(written).unwrap())
+    }
+
+    #[test]
+    fn answers_expect_continue_only_when_a_body_will_be_read() {
+        const CONTINUE: &str = "HTTP/1.1 100 Continue\r\n\r\n";
+        let (req, sent) =
+            interim(b"PUT /m HTTP/1.1\r\nExpect: 100-Continue\r\nContent-Length: 2\r\n\r\nab");
+        assert_eq!(req.unwrap().body, b"ab");
+        assert_eq!(sent, CONTINUE);
+        // No body, HTTP/1.0, another expectation, or no Expect at all: no 100.
+        for raw in [
+            &b"PUT /m HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 0\r\n\r\n"[..],
+            b"PUT /m HTTP/1.0\r\nExpect: 100-continue\r\nContent-Length: 2\r\n\r\nab",
+            b"PUT /m HTTP/1.1\r\nExpect: something-else\r\nContent-Length: 2\r\n\r\nab",
+            b"PUT /m HTTP/1.1\r\nContent-Length: 2\r\n\r\nab",
+        ] {
+            let (req, sent) = interim(raw);
+            assert!(req.is_ok());
+            assert_eq!(sent, "", "{}", String::from_utf8_lossy(raw));
+        }
+        // An oversized body is refused before any 100 goes out.
+        let (req, sent) =
+            interim(b"PUT /m HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 2048\r\n\r\n");
+        assert!(matches!(req, Err(ParseError::BodyTooLarge { .. })));
+        assert_eq!(sent, "");
     }
 
     #[test]

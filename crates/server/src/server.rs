@@ -1012,7 +1012,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
         if s2g_failpoints::hit("net.read.stall").is_some() {
             return;
         }
-        let request = match read_request(&mut reader, shared.max_body_bytes) {
+        let request = match read_request(&mut reader, &stream, shared.max_body_bytes) {
             Ok(request) => request,
             Err(ParseError::ConnectionClosed) => return, // probe; nothing to say
             Err(ParseError::Io(_)) if !first => return,  // stalled mid-keep-alive
