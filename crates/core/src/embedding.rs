@@ -110,22 +110,16 @@ impl Embedding {
         }
         let rotation = align_to_x_axis(v_ref);
 
-        // Project and rotate every subsequence row-by-row from the rolling
-        // sums, keeping (y, z). The slice conv[i..i+dim] carries exactly the
-        // values row i of the materialised matrix held, so the trajectory is
-        // bit-identical to the matrix-backed fit. Large fits project
-        // contiguous blocks of rows on separate threads, concatenated in
-        // order; a single block is kept as is.
+        // Project and rotate every subsequence from the rolling sums, keeping
+        // (y, z). The window conv[i..i+dim] carries exactly the values row i
+        // of the materialised matrix held, so the trajectory is bit-identical
+        // to the matrix-backed fit. Large fits project contiguous blocks of
+        // rows on separate threads, concatenated in order; a single block is
+        // kept as is.
         let threads = par::threads_for(n_points * dim, MIN_PROJECTED_VALUES_PER_THREAD);
         let mut blocks = par::map_ranges(par::split_even(n_points, threads), |rows| {
-            rows.map(|i| {
-                let reduced = pca
-                    .transform_row(&conv[i..i + dim])
-                    .expect("the PCA was fitted on rows of this width");
-                let rotated = rotation.apply(Vec3::from_slice(&reduced));
-                Vec2::new(rotated.y, rotated.z)
-            })
-            .collect::<Vec<Vec2>>()
+            project_windows(&pca, &rotation, &conv[rows.start..], rows.len())
+                .expect("the PCA was fitted on 3 components of windows of this width")
         });
         let points = if blocks.len() == 1 {
             blocks.pop().expect("one block")
@@ -202,15 +196,16 @@ impl Embedding {
             });
         }
         let dim = ell - self.lambda;
-        let conv = stats::rolling_sum(series.values(), self.lambda);
-        let n_points = series.len() - ell + 1;
-        let mut out = Vec::with_capacity(n_points);
-        for i in 0..n_points {
-            let reduced = self.pca.transform_row(&conv[i..i + dim])?;
-            let rotated = self.rotation.apply(Vec3::from_slice(&reduced));
-            out.push(Vec2::new(rotated.y, rotated.z));
+        if self.pca.input_dim() != dim {
+            return Err(s2g_linalg::Error::ShapeMismatch {
+                op: "pca_transform",
+                left: (1, dim),
+                right: self.pca.components().shape(),
+            }
+            .into());
         }
-        Ok(out)
+        let conv = stats::rolling_sum(series.values(), self.lambda);
+        project_windows(&self.pca, &self.rotation, &conv, series.len() - ell + 1)
     }
 
     /// Projects a single subsequence (given as a slice of length ≥ ℓ),
@@ -218,6 +213,17 @@ impl Embedding {
     pub fn project_slice(&self, values: &[f64]) -> Result<Vec<Vec2>> {
         self.project(&TimeSeries::from(values))
     }
+}
+
+/// Projects the `n` windows `conv[i .. i + ℓ − λ]` with the PCA, rotates
+/// them and keeps `(y, z)`: the embedded trajectory `SProj`.
+fn project_windows(pca: &Pca, rotation: &Rotation3, conv: &[f64], n: usize) -> Result<Vec<Vec2>> {
+    let mut points = Vec::with_capacity(n);
+    pca.transform_windows(conv, n, |[x, y, z]| {
+        let rotated = rotation.apply(Vec3::new(x, y, z));
+        points.push(Vec2::new(rotated.y, rotated.z));
+    })?;
+    Ok(points)
 }
 
 #[cfg(test)]
@@ -346,6 +352,16 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(bits(&emb.points), bits(&emb.project(&series).unwrap()));
+        // And both match one `transform_row` per window.
+        let conv = stats::rolling_sum(series.values(), config.lambda);
+        let per_row: Vec<Vec2> = (0..rows)
+            .map(|i| {
+                let reduced = emb.pca().transform_row(&conv[i..i + dim]).unwrap();
+                let rotated = emb.rotation().apply(Vec3::from_slice(&reduced));
+                Vec2::new(rotated.y, rotated.z)
+            })
+            .collect();
+        assert_eq!(bits(&emb.points), bits(&per_row));
     }
 
     #[test]
@@ -375,6 +391,16 @@ mod tests {
         ));
         let emb = Embedding::fit(&sine_series(1000, 50.0), &S2gConfig::new(50)).unwrap();
         assert!(emb.project(&sine_series(20, 10.0)).is_err());
+        // Parts whose PCA width disagrees with ℓ − λ cannot project.
+        let mismatched = Embedding::from_parts(
+            emb.pattern_length + 1,
+            emb.lambda,
+            emb.pca().clone(),
+            emb.rotation().clone(),
+            Vec::new(),
+            emb.explained_variance_ratio,
+        );
+        assert!(mismatched.project(&sine_series(200, 50.0)).is_err());
     }
 
     #[test]

@@ -53,6 +53,17 @@ fn ray_table(rate: usize) -> Vec<Vec2> {
         .collect()
 }
 
+/// Unit vectors of the `rate` rays as node assignment computes them,
+/// `ψ_k = k·(2π/rate)`. The grouping differs from [`ray_table`]'s and so do
+/// the bits on some rays; each keeps its own expression so that crossings and
+/// assignments stay bit-identical to what they always computed.
+fn axis_table(rate: usize) -> Vec<Vec2> {
+    let step = std::f64::consts::TAU / rate as f64;
+    (0..rate)
+        .map(|ray| Vec2::from_angle(ray as f64 * step))
+        .collect()
+}
+
 /// Calls `visit` with every crossing of the segment `p0 → p1` with the rays
 /// whose unit vectors `rays` holds, in ray order. A segment meets each ray
 /// at most once, so per ray the crossings of a trajectory arrive in segment
@@ -109,6 +120,8 @@ pub struct NodeSet {
     /// Global id of the first node of each ray.
     offsets: Vec<usize>,
     total: usize,
+    /// Unit vector of every ray, as [`NodeSet::assign`] projects onto it.
+    axes: Vec<Vec2>,
 }
 
 impl NodeSet {
@@ -183,6 +196,7 @@ impl NodeSet {
             radii,
             offsets,
             total,
+            axes: axis_table(rate),
         })
     }
 
@@ -214,6 +228,7 @@ impl NodeSet {
             radii,
             offsets,
             total,
+            axes: axis_table(rate),
         })
     }
 
@@ -281,8 +296,7 @@ impl NodeSet {
                 if self.radii[ray].is_empty() {
                     continue;
                 }
-                let psi = ray as f64 * step;
-                let radius = point.dot(&Vec2::from_angle(psi));
+                let radius = point.dot(&self.axes[ray]);
                 return self.nearest_node(ray, radius);
             }
         }
@@ -599,6 +613,99 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Node assignment as it stood before the axis table: the ray's unit
+    /// vector rebuilt from its angle on every call. The reference
+    /// [`NodeSet::assign`] must reproduce.
+    fn reference_assign(nodes: &NodeSet, point: Vec2) -> Option<usize> {
+        let rate = nodes.rate();
+        let step = std::f64::consts::TAU / rate as f64;
+        let base_ray = ((point.angle() / step).round() as usize) % rate;
+        for offset in 0..=(rate / 2) {
+            for ray in [
+                (base_ray + offset) % rate,
+                (base_ray + rate - offset) % rate,
+            ] {
+                if nodes.ray_nodes(ray).is_empty() {
+                    continue;
+                }
+                let radius = point.dot(&Vec2::from_angle(ray as f64 * step));
+                return nodes.nearest_node(ray, radius);
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn assign_equals_the_per_call_trig_reference() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+        for rate in [8usize, 12, 30, 50, 100] {
+            let step = std::f64::consts::TAU / rate as f64;
+            let mut radii = |keep: &dyn Fn(usize) -> bool| -> Vec<Vec<f64>> {
+                (0..rate)
+                    .map(|ray| {
+                        if keep(ray) {
+                            (0..3).map(|_| rng.gen_range(0.1..5.0)).collect()
+                        } else {
+                            Vec::new()
+                        }
+                    })
+                    .collect()
+            };
+            // Every ray populated, every third ray empty, and a single
+            // populated ray that most points fall back to.
+            let node_sets = [
+                NodeSet::from_parts(rate, radii(&|_| true)).unwrap(),
+                NodeSet::from_parts(rate, radii(&|ray| ray % 3 != 0)).unwrap(),
+                NodeSet::from_parts(rate, radii(&|ray| ray == rate / 3)).unwrap(),
+            ];
+            let mut points = vec![
+                Vec2::new(0.0, 0.0),
+                Vec2::new(-0.0, 0.0),
+                Vec2::new(0.0, -0.0),
+                Vec2::new(-0.0, -0.0),
+                Vec2::new(2.0, -0.0),
+                Vec2::new(-2.0, -0.0),
+                Vec2::new(-0.0, 2.0),
+                Vec2::new(-0.0, -2.0),
+            ];
+            for k in 0..rate {
+                let radius = rng.gen_range(0.1..5.0);
+                // Exactly on ray k, and on the half-step boundary after it.
+                points.push(Vec2::from_angle(k as f64 * step) * radius);
+                points.push(Vec2::from_angle((k as f64 + 0.5) * step) * radius);
+                points.push(Vec2::from_angle((k as f64 + 0.5) * step));
+            }
+            points.extend(
+                (0..2_000).map(|_| Vec2::new(rng.gen_range(-6.0..6.0), rng.gen_range(-6.0..6.0))),
+            );
+            for nodes in &node_sets {
+                for &point in &points {
+                    assert_eq!(
+                        nodes.assign(point),
+                        reference_assign(nodes, point),
+                        "rate {rate}, point {point:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn assign_axes_are_not_the_crossing_ray_table() {
+        // `ψ·(τ/rate)` and `ψ·τ/rate` round differently on half the rays at
+        // rate 50: unifying the two tables would change assignments or
+        // crossings.
+        let bits = |rays: Vec<Vec2>| -> Vec<(u64, u64)> {
+            rays.iter()
+                .map(|u| (u.x.to_bits(), u.y.to_bits()))
+                .collect()
+        };
+        let (axes, rays) = (bits(axis_table(50)), bits(ray_table(50)));
+        let differing = axes.iter().zip(&rays).filter(|(a, r)| a != r).count();
+        assert_eq!(differing, 25);
     }
 
     /// Embedded trajectories of seeded SRW, periodic, noise and

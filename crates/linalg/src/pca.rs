@@ -26,6 +26,9 @@ pub enum PcaSolver {
     },
 }
 
+/// Consecutive windows one pass of [`Pca::transform_windows`] projects.
+const WINDOW_LANES: usize = 8;
+
 /// Multiply-adds of the sliding Gram matrix (`n·d(d+1)/2`) below which one
 /// more thread is not worth spawning: a few milliseconds of work on one core.
 const MIN_GRAM_TERMS_PER_THREAD: usize = 1 << 23;
@@ -165,6 +168,80 @@ impl Pca {
         let denom = (n.max(2) - 1) as f64;
         cov.scale_in_place(1.0 / denom);
         Self::from_covariance(mean, &cov, k)
+    }
+
+    /// Projects the `n` overlapping windows `windows[i .. i + d]`,
+    /// `i ∈ [0, n)`, of a flat buffer — the rows of `Proj(T, ℓ, λ)`, as in
+    /// [`Pca::fit_sliding_covariance`] — and hands `emit` the `K` components
+    /// of every window, in window order.
+    ///
+    /// Each pass projects eight consecutive windows. Its accumulators are
+    /// laid out `[component][lane]`, one lane per window, so the compiler can
+    /// vectorise across windows, and every centred value `x_i − m_i` is
+    /// formed once for all components. Each accumulator still sums
+    /// `(x_i − m_i)·c_ij` over `i = 0..d` in order, starting from `0.0`,
+    /// exactly as [`Pca::transform_row`] does for one row, so every output is
+    /// bit-identical to it. The last `n % 8` windows take a scalar pass with
+    /// the same order. Nothing is allocated.
+    ///
+    /// # Errors
+    /// [`Error::ShapeMismatch`] when `K` is not the number of components, or
+    /// when `windows` is shorter than the `n + d − 1` values the windows span.
+    pub fn transform_windows<const K: usize>(
+        &self,
+        windows: &[f64],
+        n: usize,
+        mut emit: impl FnMut([f64; K]),
+    ) -> Result<()> {
+        let (d, k) = self.components.shape();
+        if K != k {
+            return Err(Error::ShapeMismatch {
+                op: "pca_transform_windows",
+                left: (d, K),
+                right: (d, k),
+            });
+        }
+        if n == 0 {
+            return Ok(());
+        }
+        if windows.len() + 1 < n + d {
+            return Err(Error::ShapeMismatch {
+                op: "pca_transform_windows",
+                left: (1, windows.len()),
+                right: (n, d),
+            });
+        }
+        // Row i of the row-major d × K component matrix: c_i0 … c_i(K−1).
+        let (rows, _) = self.components.as_slice().as_chunks::<K>();
+        let lanes_end = n - n % WINDOW_LANES;
+        for first in (0..lanes_end).step_by(WINDOW_LANES) {
+            let mut acc = [[0.0; WINDOW_LANES]; K];
+            for (i, (m, c)) in self.mean.iter().zip(rows).enumerate() {
+                let x = windows[first + i..]
+                    .first_chunk::<WINDOW_LANES>()
+                    .expect("the length check covers every window");
+                let centred = x.map(|xi| xi - m);
+                for (acc_j, c_ij) in acc.iter_mut().zip(c) {
+                    for (a, t) in acc_j.iter_mut().zip(&centred) {
+                        *a += t * c_ij;
+                    }
+                }
+            }
+            for lane in 0..WINDOW_LANES {
+                emit(acc.map(|acc_j| acc_j[lane]));
+            }
+        }
+        for window in windows[lanes_end..].windows(d).take(n - lanes_end) {
+            let mut acc = [0.0; K];
+            for ((xi, m), c) in window.iter().zip(&self.mean).zip(rows) {
+                let t = xi - m;
+                for (a, c_ij) in acc.iter_mut().zip(c) {
+                    *a += t * c_ij;
+                }
+            }
+            emit(acc);
+        }
+        Ok(())
     }
 
     /// Shared tail of the covariance solvers: eigen-decomposes the already
@@ -649,6 +726,87 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Width-`d`, 3-component PCAs built from parts: random means and
+    /// directions, and one whose means are exact `±0.0` and whose directions
+    /// hold exact `±0.0` entries.
+    fn kernel_pcas(d: usize) -> Vec<(&'static str, Pca)> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(d as u64);
+        let mut random =
+            |len: usize| -> Vec<f64> { (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect() };
+        let signed_zero = |i: usize| if i.is_multiple_of(2) { 0.0 } else { -0.0 };
+        let mean = random(d).into_iter().map(|m| m * 3.0).collect();
+        let sparse = random(3 * d)
+            .into_iter()
+            .enumerate()
+            .map(|(i, c)| if i % 3 == 1 { signed_zero(i) } else { c })
+            .collect();
+        let part = |mean, components| {
+            let components = DMatrix::from_vec(d, 3, components).unwrap();
+            Pca::from_parts(mean, components, vec![1.0; 3], 3.0).unwrap()
+        };
+        vec![
+            ("random", part(mean, random(3 * d))),
+            ("zero-mean", part((0..d).map(signed_zero).collect(), sparse)),
+        ]
+    }
+
+    fn windowed_bits<const K: usize>(pca: &Pca, windows: &[f64], n: usize) -> Vec<u64> {
+        let mut bits = Vec::new();
+        pca.transform_windows(windows, n, |out: [f64; K]| {
+            bits.extend(out.map(f64::to_bits))
+        })
+        .unwrap();
+        bits
+    }
+
+    #[test]
+    fn windowed_projection_is_bit_identical_to_transform_row() {
+        let r = WINDOW_LANES;
+        for d in [1, 2, 34, 75, 120] {
+            for (pca_name, pca) in kernel_pcas(d) {
+                for n in [0, 1, r - 1, r, r + 1, 10 * r + 3] {
+                    let mut buffers = fan_out_buffers(n + d - 1);
+                    // Huge and tiny magnitudes side by side, so any change
+                    // in summation order shows in the low bits.
+                    let large = (0..n + d - 1)
+                        .map(|i| match i % 3 {
+                            0 => 1e150 * (i as f64 * 0.7).sin(),
+                            1 => -3e-150 * i as f64,
+                            _ => 7.5e12 + i as f64,
+                        })
+                        .collect();
+                    buffers.push(("large", large));
+                    for (name, buffer) in buffers {
+                        let per_row: Vec<u64> = (0..n)
+                            .flat_map(|i| pca.transform_row(&buffer[i..i + d]).unwrap())
+                            .map(f64::to_bits)
+                            .collect();
+                        assert_eq!(
+                            windowed_bits::<3>(&pca, &buffer, n),
+                            per_row,
+                            "{pca_name} PCA, {name} buffer, d = {d}, n = {n}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn windowed_projection_validates_shapes() {
+        let data = planar_data(60);
+        let pca = Pca::fit(&data, 2).unwrap();
+        let buffer: Vec<f64> = (0..30).map(|i| i as f64).collect();
+        // 26 windows of width 5 span all 30 values; 27 would need 31.
+        assert_eq!(windowed_bits::<2>(&pca, &buffer, 26).len(), 52);
+        assert!(pca
+            .transform_windows(&buffer, 27, |_: [f64; 2]| ())
+            .is_err());
+        assert!(pca.transform_windows(&buffer, 3, |_: [f64; 3]| ()).is_err());
+        assert!(pca.transform_windows(&[], 0, |_: [f64; 2]| ()).is_ok());
     }
 
     #[test]
