@@ -3,8 +3,7 @@
 //! Figure 9 wall-clock tables.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use s2g_bench::runner::time_method;
-use s2g_bench::Method;
+use s2g_bench::roster::{fast_roster, paper_input, paper_roster};
 use s2g_datasets::mba::{generate_mba_with_length, MbaRecord};
 use s2g_datasets::srw::{generate_srw, SrwConfig};
 
@@ -12,13 +11,9 @@ fn methods_on_mba(c: &mut Criterion) {
     let mut group = c.benchmark_group("methods/mba_5k");
     group.sample_size(10);
     let data = generate_mba_with_length(MbaRecord::R803, 5_000, 21);
-    for method in Method::ALL {
-        group.bench_function(method.name(), |b| {
-            b.iter(|| {
-                let k = data.anomaly_count().max(1);
-                method.score(&data, 75, k).unwrap()
-            })
-        });
+    let input = paper_input(&data, 75);
+    for method in paper_roster() {
+        group.bench_function(method.name(), |b| b.iter(|| method.run(&input).unwrap()));
     }
     group.finish();
 }
@@ -33,10 +28,9 @@ fn methods_on_srw(c: &mut Criterion) {
         anomaly_length: 200,
         seed: 21,
     });
-    for method in Method::FAST {
-        group.bench_function(method.name(), |b| {
-            b.iter(|| time_method(&data, method, 200).unwrap())
-        });
+    let input = paper_input(&data, 200);
+    for method in fast_roster() {
+        group.bench_function(method.name(), |b| b.iter(|| method.run(&input).unwrap()));
     }
     group.finish();
 }

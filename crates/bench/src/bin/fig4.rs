@@ -9,9 +9,10 @@
 //! Usage: `cargo run --release -p s2g-bench --bin fig4 [--scale 0.2] [--seed 1]`
 
 use s2g_baselines::matrix_profile::stomp;
-use s2g_bench::runner::{ground_truth, scale_from_args, seed_from_args};
+use s2g_bench::runner::{scale_from_args, seed_from_args};
 use s2g_datasets::mba::{generate_mba_with_length, MbaRecord};
 use s2g_eval::table::Table;
+use s2g_eval::topk::GroundTruth;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -21,7 +22,7 @@ fn main() {
 
     println!("Figure 4 — STOMP length sensitivity on MBA(803)-like ECG ({length} points)\n");
     let data = generate_mba_with_length(MbaRecord::R803, length, seed);
-    let truth = ground_truth(&data);
+    let truth = GroundTruth::from_labels(&data);
 
     let mut table = Table::new(vec![
         "length",

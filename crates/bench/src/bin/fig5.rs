@@ -9,11 +9,11 @@
 //!
 //! Usage: `cargo run --release -p s2g-bench --bin fig5 [--scale 0.2] [--seed 1]`
 
-use s2g_bench::runner::{ground_truth, scale_from_args, seed_from_args};
+use s2g_bench::runner::{scale_from_args, seed_from_args};
 use s2g_core::{S2gConfig, Series2Graph};
 use s2g_datasets::mba::{generate_mba_with_length, MbaRecord};
 use s2g_eval::table::{fmt_accuracy, Table};
-use s2g_eval::topk::top_k_accuracy;
+use s2g_eval::topk::{top_k_accuracy, GroundTruth};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -26,7 +26,7 @@ fn main() {
         "Figure 5 — graph structure vs input length ℓ on MBA(820)-like ECG ({length} points)\n"
     );
     let data = generate_mba_with_length(MbaRecord::R820, length, seed);
-    let truth = ground_truth(&data);
+    let truth = GroundTruth::from_labels(&data);
     let k = truth.count();
 
     let mut table = Table::new(vec![

@@ -9,11 +9,11 @@
 //! Usage: `cargo run --release -p s2g-bench --bin fig6 [--scale 0.1] [--seed 1]`
 
 use s2g_baselines::matrix_profile::stomp_anomaly_scores;
-use s2g_bench::runner::{ground_truth, scale_from_args, seed_from_args};
+use s2g_bench::runner::{scale_from_args, seed_from_args};
 use s2g_core::{S2gConfig, Series2Graph};
 use s2g_datasets::catalog::Dataset;
 use s2g_eval::table::{fmt_accuracy, Table};
-use s2g_eval::topk::top_k_accuracy;
+use s2g_eval::topk::{top_k_accuracy, GroundTruth};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -25,10 +25,11 @@ fn main() {
     println!("Figure 6 — Top-k accuracy vs input length (anomaly length = {anomaly_len})\n");
 
     let datasets = Dataset::real_multi_anomaly();
-    let mut s2g_table = Table::new(vec![
+    let headers = vec![
         "dataset", "ℓA-60", "ℓA-40", "ℓA-20", "ℓA", "ℓA+20", "ℓA+40", "ℓA+60",
-    ]);
-    let mut stomp_table = s2g_table.clone_headers();
+    ];
+    let mut s2g_table = Table::new(headers.clone());
+    let mut stomp_table = Table::new(headers.clone());
     let mut s2g_means = vec![0.0f64; offsets.len()];
     let mut stomp_means = vec![0.0f64; offsets.len()];
 
@@ -36,7 +37,7 @@ fn main() {
         let spec = dataset.spec();
         let length = ((spec.length as f64) * scale) as usize;
         let data = dataset.generate_with_length(length.max(8_000), seed);
-        let truth = ground_truth(&data);
+        let truth = GroundTruth::from_labels(&data);
         let k = truth.count();
 
         let mut s2g_row = vec![spec.name.clone()];
@@ -71,9 +72,9 @@ fn main() {
     println!("{}", stomp_table.to_fixed_width());
 
     println!("(c) Mean accuracy across datasets:");
-    let mut mean_table = Table::new(vec![
-        "method", "ℓA-60", "ℓA-40", "ℓA-20", "ℓA", "ℓA+20", "ℓA+40", "ℓA+60",
-    ]);
+    let mut mean_headers = headers;
+    mean_headers[0] = "method";
+    let mut mean_table = Table::new(mean_headers);
     mean_table.push_row(
         std::iter::once("S2G".to_string())
             .chain(s2g_means.iter().map(|a| fmt_accuracy(a / n)))
@@ -89,18 +90,4 @@ fn main() {
         "\nPaper's claim: S2G accuracy is stable once ℓ exceeds the anomaly length, while STOMP\n\
          varies widely with its length parameter; S2G's mean stays above STOMP's mean."
     );
-}
-
-/// Small helper: clone the header layout of a table without its rows.
-trait CloneHeaders {
-    fn clone_headers(&self) -> Table;
-}
-
-impl CloneHeaders for Table {
-    fn clone_headers(&self) -> Table {
-        // The eval Table does not expose headers; rebuild with the same labels.
-        Table::new(vec![
-            "dataset", "ℓA-60", "ℓA-40", "ℓA-20", "ℓA", "ℓA+20", "ℓA+40", "ℓA+60",
-        ])
-    }
 }

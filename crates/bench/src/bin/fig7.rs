@@ -5,13 +5,13 @@
 //!
 //! Usage: `cargo run --release -p s2g-bench --bin fig7 [--scale 0.1] [--seed 1] [--part a|b|c|all]`
 
-use s2g_bench::runner::{arg_value, ground_truth, scale_from_args, seed_from_args};
+use s2g_bench::runner::{arg_value, scale_from_args, seed_from_args};
 use s2g_core::config::BandwidthRule;
 use s2g_core::{S2gConfig, Series2Graph};
 use s2g_datasets::catalog::Dataset;
 use s2g_datasets::LabeledSeries;
 use s2g_eval::table::{fmt_accuracy, Table};
-use s2g_eval::topk::top_k_accuracy;
+use s2g_eval::topk::{top_k_accuracy, GroundTruth};
 
 const PATTERN_LENGTH: usize = 80;
 const QUERY_LENGTH: usize = 160;
@@ -28,7 +28,7 @@ fn datasets(scale: f64, seed: u64) -> Vec<LabeledSeries> {
 }
 
 fn accuracy_with_config(data: &LabeledSeries, config: &S2gConfig, query: usize) -> f64 {
-    let truth = ground_truth(data);
+    let truth = GroundTruth::from_labels(data);
     Series2Graph::fit(&data.series, config)
         .and_then(|m| m.anomaly_scores(&data.series, query))
         .map(|s| top_k_accuracy(&s, query, &truth, truth.count()))
@@ -71,7 +71,7 @@ fn part_b(data: &[LabeledSeries]) {
             .collect(),
     );
     for ds in data {
-        let truth = ground_truth(ds);
+        let truth = GroundTruth::from_labels(ds);
         let k = truth.count();
         let mut row = vec![ds.name.clone()];
         for &fraction in &fractions {
@@ -97,7 +97,7 @@ fn part_c(data: &[LabeledSeries]) {
             .collect(),
     );
     for ds in data {
-        let truth = ground_truth(ds);
+        let truth = GroundTruth::from_labels(ds);
         let k = truth.count();
         let mut row = vec![ds.name.clone()];
         let model = Series2Graph::fit(&ds.series, &S2gConfig::new(PATTERN_LENGTH)).ok();

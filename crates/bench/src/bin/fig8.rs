@@ -11,10 +11,11 @@
 //!
 //! Usage: `cargo run --release -p s2g-bench --bin fig8 [--seed 1]`
 
-use s2g_bench::runner::{ground_truth, seed_from_args};
+use s2g_bench::runner::seed_from_args;
 use s2g_core::{S2gConfig, Series2Graph};
 use s2g_datasets::keogh::{generate_discord_dataset, DiscordDataset};
 use s2g_eval::table::Table;
+use s2g_eval::topk::GroundTruth;
 use s2g_graph::dot::{to_dot, DotOptions};
 
 /// Input length ℓ used per dataset, following the figure captions of the
@@ -48,7 +49,7 @@ fn main() {
 
     for dataset in DiscordDataset::ALL {
         let data = generate_discord_dataset(dataset, seed);
-        let truth = ground_truth(&data);
+        let truth = GroundTruth::from_labels(&data);
         let ell = pattern_length(dataset);
         let query = data.anomalies[0].length.max(ell);
 

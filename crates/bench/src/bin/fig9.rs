@@ -9,28 +9,46 @@
 //! `--fast` restricts the run to the sub-quadratic methods plus STOMP (LOF and
 //! DAD are the slowest methods in the paper as well); the default runs all.
 
-use s2g_bench::runner::{arg_value, scale_from_args, seed_from_args, time_method};
-use s2g_bench::Method;
+use std::time::Instant;
+
+use s2g_bench::roster::{fast_roster, paper_input, paper_roster};
+use s2g_bench::runner::{arg_value, scale_from_args, seed_from_args};
 use s2g_datasets::catalog::Dataset;
 use s2g_datasets::keogh::DiscordDataset;
 use s2g_datasets::mba::MbaRecord;
+use s2g_datasets::LabeledSeries;
 use s2g_eval::table::{fmt_seconds, Table};
+use s2g_eval::Detector;
 
-fn methods(args: &[String]) -> Vec<Method> {
+fn methods(args: &[String]) -> Vec<Box<dyn Detector>> {
     if args.iter().any(|a| a == "--fast") {
-        Method::FAST.to_vec()
+        fast_roster()
     } else {
-        Method::ALL
-            .iter()
-            .copied()
-            .filter(|m| *m != Method::S2gHalf)
+        paper_roster()
+            .into_iter()
+            .filter(|d| d.name() != "S2G|T|/2")
             .collect()
     }
 }
 
-fn header(methods: &[Method], first: &str) -> Vec<String> {
+fn header(methods: &[Box<dyn Detector>], first: &str) -> Vec<String> {
     std::iter::once(first.to_string())
         .chain(methods.iter().map(|m| m.name().to_string()))
+        .collect()
+}
+
+/// Seconds each detector takes to score `data`, or `-` where it fails.
+fn timings(methods: &[Box<dyn Detector>], data: &LabeledSeries, window: usize) -> Vec<String> {
+    let input = paper_input(data, window);
+    methods
+        .iter()
+        .map(|method| {
+            let started = Instant::now();
+            match method.run(&input) {
+                Ok(_) => fmt_seconds(started.elapsed().as_secs_f64()),
+                Err(_) => "-".to_string(),
+            }
+        })
         .collect()
 }
 
@@ -55,12 +73,7 @@ fn part_size(args: &[String], scale: f64, seed: u64) {
         for &size in &sizes {
             let data = dataset.generate_with_length(size, seed);
             let mut row = vec![size.to_string()];
-            for method in &methods {
-                match time_method(&data, *method, window) {
-                    Ok(t) => row.push(fmt_seconds(t)),
-                    Err(_) => row.push("-".to_string()),
-                }
-            }
+            row.extend(timings(&methods, &data, window));
             table.push_row(row);
         }
         println!("{}", table.to_fixed_width());
@@ -81,12 +94,7 @@ fn part_anomalies(args: &[String], scale: f64, seed: u64) {
         }
         .generate_with_length(length, seed);
         let mut row = vec![n_anomalies.to_string()];
-        for method in &methods {
-            match time_method(&data, *method, 200) {
-                Ok(t) => row.push(fmt_seconds(t)),
-                Err(_) => row.push("-".to_string()),
-            }
-        }
+        row.extend(timings(&methods, &data, 200));
         table.push_row(row);
     }
     println!("{}", table.to_fixed_width());
@@ -105,12 +113,7 @@ fn part_length(args: &[String], scale: f64, seed: u64) {
         }
         .generate_with_length(length.max(anomaly_length * 8), seed);
         let mut row = vec![anomaly_length.to_string()];
-        for method in &methods {
-            match time_method(&data, *method, anomaly_length) {
-                Ok(t) => row.push(fmt_seconds(t)),
-                Err(_) => row.push("-".to_string()),
-            }
-        }
+        row.extend(timings(&methods, &data, anomaly_length));
         table.push_row(row);
     }
     println!("{}", table.to_fixed_width());

@@ -6,12 +6,13 @@
 //!
 //! The harness is organised around two building blocks:
 //!
-//! * [`methods::Method`] — one variant per evaluated detector (Series2Graph
-//!   full / half-trained, STOMP, DAD, GrammarViz, LOF, Isolation Forest,
-//!   LSTM-AD stand-in), each producing an anomaly-score profile with the
-//!   shared "higher = more anomalous" convention;
-//! * [`runner`] — dataset × method execution with wall-clock timing and
-//!   Top-k accuracy evaluation against the generated ground truth.
+//! * [`roster`] — the detectors of Table 3 and Figure 9 as
+//!   [`s2g_eval::Detector`]s: the `s2g eval` gauntlet's six baselines
+//!   (GrammarViz, STOMP, DAD, LOF, Isolation Forest, LSTM-AD stand-in)
+//!   plus [`roster::PaperS2g`], Series2Graph under the paper's fixed
+//!   `ℓ = 50` trained on the full series or its first half;
+//! * [`runner`] — the command-line helpers shared by the binaries
+//!   (`--scale`, `--seed`, `--methods`).
 //!
 //! Every experiment binary (`table3`, `fig4` … `fig9`, `all_experiments`)
 //! accepts a `--scale` argument that shrinks the dataset lengths of Table 2
@@ -22,8 +23,5 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod methods;
+pub mod roster;
 pub mod runner;
-
-pub use methods::Method;
-pub use runner::{evaluate, time_method, EvalOutcome};

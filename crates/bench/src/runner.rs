@@ -1,80 +1,8 @@
-//! Dataset × method execution, timing, and Top-k accuracy evaluation.
+//! Command-line helpers shared by the experiment binaries.
 
-use std::time::Instant;
+use s2g_eval::Detector;
 
-use s2g_datasets::{Dataset, LabeledSeries};
-use s2g_eval::topk::{top_k_accuracy, GroundTruth};
-
-use crate::methods::Method;
-
-/// Outcome of running one method on one dataset.
-#[derive(Debug, Clone)]
-pub struct EvalOutcome {
-    /// Dataset display name.
-    pub dataset: String,
-    /// Method label.
-    pub method: &'static str,
-    /// Top-k accuracy with `k` = number of labelled anomalies.
-    pub accuracy: f64,
-    /// Wall-clock seconds spent computing the score profile.
-    pub seconds: f64,
-    /// Number of labelled anomalies (`k`).
-    pub k: usize,
-    /// Series length evaluated.
-    pub series_len: usize,
-}
-
-/// Converts a labelled series' annotations into the evaluation ground truth.
-pub fn ground_truth(data: &LabeledSeries) -> GroundTruth {
-    GroundTruth::new(data.anomalies.iter().map(|a| (a.start, a.length)).collect())
-}
-
-/// Runs one method on an already generated labelled series, timing the score
-/// computation and evaluating Top-k accuracy with `k` equal to the number of
-/// labelled anomalies. Returns `Err` with the method's message on failure.
-pub fn evaluate(
-    data: &LabeledSeries,
-    method: Method,
-    window: usize,
-) -> Result<EvalOutcome, String> {
-    let truth = ground_truth(data);
-    let k = truth.count();
-    let start = Instant::now();
-    let (scores, effective_window) = method.score(data, window, k)?;
-    let seconds = start.elapsed().as_secs_f64();
-    let accuracy = top_k_accuracy(&scores, effective_window, &truth, k);
-    Ok(EvalOutcome {
-        dataset: data.name.clone(),
-        method: method.name(),
-        accuracy,
-        seconds,
-        k,
-        series_len: data.len(),
-    })
-}
-
-/// Generates a dataset at `scale` of its Table 2 length and evaluates a method
-/// on it. The anomaly length `ℓ_A` of the dataset spec is used as the window.
-pub fn evaluate_scaled(
-    dataset: Dataset,
-    method: Method,
-    scale: f64,
-    seed: u64,
-) -> Result<EvalOutcome, String> {
-    let spec = dataset.spec();
-    let length = ((spec.length as f64) * scale).round() as usize;
-    let data = dataset.generate_with_length(length.max(spec.anomaly_length * 4), seed);
-    evaluate(&data, method, spec.anomaly_length)
-}
-
-/// Times only the score computation of a method (no accuracy evaluation),
-/// returning seconds. Used by the Figure 9 scalability harness.
-pub fn time_method(data: &LabeledSeries, method: Method, window: usize) -> Result<f64, String> {
-    let k = data.anomaly_count().max(1);
-    let start = Instant::now();
-    let _ = method.score(data, window, k)?;
-    Ok(start.elapsed().as_secs_f64())
-}
+use crate::roster::paper_roster;
 
 /// Parses a simple `--flag value` style command line shared by the experiment
 /// binaries. Returns the value following `flag`, if any.
@@ -99,102 +27,78 @@ pub fn seed_from_args(args: &[String]) -> u64 {
         .unwrap_or(1)
 }
 
-/// Parses the `--methods` argument (comma-separated labels); defaults to all.
-pub fn methods_from_args(args: &[String]) -> Vec<Method> {
-    match arg_value(args, "--methods") {
-        None => Method::ALL.to_vec(),
-        Some(list) => {
-            let parsed: Vec<Method> = list
-                .split(',')
-                .filter_map(|m| Method::parse(m.trim()))
-                .collect();
-            if parsed.is_empty() {
-                Method::ALL.to_vec()
-            } else {
-                parsed
-            }
-        }
-    }
+/// Parses the `--methods` argument: comma-separated row labels of
+/// [`paper_roster`], case-insensitive, in the order given. Defaults to the
+/// whole roster.
+///
+/// # Errors
+/// Names the first unknown label and lists the valid ones.
+pub fn methods_from_args(args: &[String]) -> Result<Vec<Box<dyn Detector>>, String> {
+    let Some(list) = arg_value(args, "--methods") else {
+        return Ok(paper_roster());
+    };
+    list.split(',')
+        .map(|label| {
+            let label = label.trim();
+            paper_roster()
+                .into_iter()
+                .find(|d| d.name().eq_ignore_ascii_case(label))
+                .ok_or_else(|| {
+                    let valid: Vec<&str> = paper_roster().iter().map(|d| d.name()).collect();
+                    format!(
+                        "unknown method {label:?}; valid labels: {}",
+                        valid.join(", ")
+                    )
+                })
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use s2g_datasets::srw::{generate_srw, SrwConfig};
 
-    fn dataset() -> LabeledSeries {
-        generate_srw(SrwConfig {
-            length: 6_000,
-            num_anomalies: 4,
-            noise_ratio: 0.0,
-            anomaly_length: 200,
-            seed: 11,
-        })
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
     }
 
-    #[test]
-    fn evaluate_returns_sane_outcome() {
-        let data = dataset();
-        let outcome = evaluate(&data, Method::S2g, 200).unwrap();
-        assert_eq!(outcome.k, 4);
-        assert_eq!(outcome.series_len, 6_000);
-        assert!(outcome.seconds > 0.0);
-        assert!((0.0..=1.0).contains(&outcome.accuracy));
-        assert_eq!(outcome.method, "S2G");
-    }
-
-    #[test]
-    fn s2g_beats_random_on_clean_srw() {
-        let data = dataset();
-        let outcome = evaluate(&data, Method::S2g, 200).unwrap();
-        assert!(
-            outcome.accuracy >= 0.75,
-            "S2G should find most clean SRW anomalies, got {}",
-            outcome.accuracy
-        );
-    }
-
-    #[test]
-    fn evaluate_scaled_respects_scale() {
-        let outcome = evaluate_scaled(
-            Dataset::Srw {
-                num_anomalies: 3,
-                noise_ratio: 0.0,
-                anomaly_length: 100,
-            },
-            Method::Stomp,
-            0.05,
-            2,
-        )
-        .unwrap();
-        assert_eq!(outcome.series_len, 5_000);
-    }
-
-    #[test]
-    fn time_method_returns_positive_duration() {
-        let data = dataset();
-        let t = time_method(&data, Method::GrammarViz, 200).unwrap();
-        assert!(t > 0.0);
+    fn names(detectors: &[Box<dyn Detector>]) -> Vec<&'static str> {
+        detectors.iter().map(|d| d.name()).collect()
     }
 
     #[test]
     fn argument_parsing() {
-        let args: Vec<String> = [
-            "--scale",
-            "0.5",
-            "--seed",
-            "9",
-            "--methods",
-            "s2g,stomp,bogus",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        assert_eq!(scale_from_args(&args), 0.5);
-        assert_eq!(seed_from_args(&args), 9);
-        assert_eq!(methods_from_args(&args), vec![Method::S2g, Method::Stomp]);
+        let parsed = args(&["--scale", "0.5", "--seed", "9", "--methods", "s2g,stomp"]);
+        assert_eq!(scale_from_args(&parsed), 0.5);
+        assert_eq!(seed_from_args(&parsed), 9);
+        assert_eq!(
+            names(&methods_from_args(&parsed).unwrap()),
+            ["S2G", "STOMP"]
+        );
+
+        let err = methods_from_args(&args(&["--methods", "s2g,stomp,bogus"]))
+            .err()
+            .expect("an unknown label must be rejected");
+        assert!(err.contains("\"bogus\""), "{err}");
+        assert!(err.contains("S2G|T|/2") && err.contains("LSTM-AD"), "{err}");
+        assert!(methods_from_args(&args(&["--methods", "s2g,stmop"])).is_err());
+
         let empty: Vec<String> = vec![];
         assert_eq!(scale_from_args(&empty), 0.2);
-        assert_eq!(methods_from_args(&empty).len(), Method::ALL.len());
+        assert_eq!(methods_from_args(&empty).unwrap().len(), 8);
+    }
+
+    #[test]
+    fn methods_select_roster_labels_case_insensitively_in_order() {
+        let all = paper_roster();
+        let labels: Vec<&str> = all.iter().map(|d| d.name()).collect();
+        let list = labels.join(",");
+        let picked = methods_from_args(&args(&["--methods", &list])).unwrap();
+        assert_eq!(names(&picked), labels);
+        let lower = methods_from_args(&args(&["--methods", &list.to_ascii_lowercase()]));
+        assert_eq!(names(&lower.unwrap()), labels);
+        let swapped = methods_from_args(&args(&["--methods", "stomp, S2G|t|/2 ,s2g"])).unwrap();
+        assert_eq!(names(&swapped), ["STOMP", "S2G|T|/2", "S2G"]);
+        assert!(methods_from_args(&args(&["--methods", "s2g,"])).is_err());
     }
 }

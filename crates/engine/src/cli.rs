@@ -1,6 +1,8 @@
-//! Implementation of the `s2g` command-line interface.
+//! The local subcommands of the `s2g` command-line interface.
 //!
-//! Subcommands:
+//! The `s2g` binary, its usage text and `s2g help` live in `s2g-server`'s
+//! `cli` module, which handles the serving subcommands and hands every other
+//! subcommand to [`dispatch`] here:
 //!
 //! * `s2g fit` — fit a model on a CSV series and persist it,
 //! * `s2g score` — load a persisted model and score one or more CSV series
@@ -35,35 +37,6 @@ use crate::codec;
 use crate::engine::EngineConfig;
 use crate::pool::ScoreJob;
 
-/// Usage text printed by `s2g help` and on argument errors.
-pub const USAGE: &str = "\
-s2g — Series2Graph detection engine CLI
-
-USAGE:
-    s2g fit    --input <series.csv> --output <model.s2g> --pattern-length <n>
-               [--lambda <n>] [--rate <n>] [--kde-grid <n>] [--sigma-ratio <x>]
-               [--seed <n>] [--no-smooth]
-    s2g score  --model <model.s2g> --query-length <n> [--top-k <k>]
-               [--scores-out <csv>] [--workers <n>] <input.csv> [<input.csv>...]
-    s2g stream --model <model.s2g> --query-length <n> [--chunk <n>]
-               [--top-k <k>] [--adapt] [--adapt-lambda <x>]
-               [--normal-quantile <x>] [--drift-window <n>]
-               [--drift-threshold <x>] [--refit-buffer <n>]
-               [--refit-cooldown <n>] [--adapted-out <model.s2g>] <input.csv>
-    s2g bench-throughput [--workers <n>] [--series <n>] [--length <n>]
-                         [--pattern-length <n>] [--query-length <n>]
-                         [--batches <n>] [--sample-interval-ms <n>]
-                         [--journal-dir <dir>] [--deadline-ms <n>]
-                         [--skew] [--json]
-    s2g eval   [--seed <n>] [--scenario <id>[,<id>...]] [--rev <tag>]
-               [--fast] [--json] [--check] [--list]
-    s2g help
-
-Series files are single-column CSVs (one value per line; `#` comments and a
-header row are tolerated). Model files use the versioned `S2GMDL` binary
-format and score bit-identically to the in-process model they were saved
-from.";
-
 /// CLI failure: either a usage error (exit 2) or a runtime error (exit 1).
 #[derive(Debug)]
 pub enum CliError {
@@ -91,22 +64,6 @@ impl From<s2g_timeseries::Error> for CliError {
     }
 }
 
-/// Entry point used by the `s2g` binary: runs and maps errors to exit codes
-/// (0 success, 1 runtime failure, 2 usage error).
-pub fn run(args: &[String]) -> i32 {
-    match dispatch(args) {
-        Ok(()) => 0,
-        Err(CliError::Runtime(msg)) => {
-            eprintln!("error: {msg}");
-            1
-        }
-        Err(CliError::Usage(msg)) => {
-            eprintln!("error: {msg}\n\n{USAGE}");
-            2
-        }
-    }
-}
-
 /// Runs one CLI invocation, returning a typed error instead of exiting.
 pub fn dispatch(args: &[String]) -> Result<(), CliError> {
     let Some((command, rest)) = args.split_first() else {
@@ -118,10 +75,6 @@ pub fn dispatch(args: &[String]) -> Result<(), CliError> {
         "stream" => cmd_stream(rest),
         "bench-throughput" => cmd_bench(rest),
         "eval" => cmd_eval(rest),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
         other => Err(CliError::Usage(format!("unknown subcommand {other:?}"))),
     }
 }

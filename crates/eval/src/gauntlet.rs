@@ -88,7 +88,7 @@ impl ScenarioResult {
 /// Runs every detector of the roster over one scenario.
 pub fn run_scenario(scenario: &Scenario, seed: u64) -> ScenarioResult {
     let data = scenario.generate(seed);
-    let truth = GroundTruth::new(data.anomalies.iter().map(|a| (a.start, a.length)).collect());
+    let truth = GroundTruth::from_labels(&data);
     let k = data.anomaly_count();
     let input = DetectorInput {
         data: &data,

@@ -1,5 +1,6 @@
 //! Top-k accuracy: the evaluation metric of the paper.
 
+use s2g_datasets::LabeledSeries;
 use s2g_timeseries::window;
 
 /// Ground-truth anomaly ranges of a series: `(start, length)` pairs.
@@ -12,6 +13,11 @@ impl GroundTruth {
     /// Creates a ground truth from `(start, length)` ranges.
     pub fn new(ranges: Vec<(usize, usize)>) -> Self {
         Self { ranges }
+    }
+
+    /// The ground truth of a labelled series: one range per annotation.
+    pub fn from_labels(data: &LabeledSeries) -> Self {
+        Self::new(data.anomalies.iter().map(|a| (a.start, a.length)).collect())
     }
 
     /// Number of labelled anomalies (the `k` used throughout the paper).
@@ -99,6 +105,22 @@ mod tests {
         assert!(!t.window_overlaps_anomaly(200, 100));
         assert_eq!(t.matching_anomaly(510, 10), Some(1));
         assert_eq!(t.matching_anomaly(0, 50), None);
+    }
+
+    #[test]
+    fn ground_truth_from_labels_keeps_every_range() {
+        use s2g_datasets::{AnomalyKind, AnomalyRange};
+        let data = LabeledSeries::new(
+            "fixture",
+            vec![0.0; 1000].into(),
+            vec![
+                AnomalyRange::new(500, 50, AnomalyKind::Shape),
+                AnomalyRange::new(100, 20, AnomalyKind::Frequency),
+            ],
+        );
+        let t = GroundTruth::from_labels(&data);
+        assert_eq!(t.ranges(), &[(100, 20), (500, 50)]);
+        assert_eq!(t.count(), data.anomaly_count());
     }
 
     #[test]

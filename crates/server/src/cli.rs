@@ -1,6 +1,6 @@
 //! The full `s2g` command-line interface: serving and remote-client
 //! subcommands from this crate, layered over the local subcommands
-//! (`fit`, `score`, `stream`, `bench-throughput`) from
+//! (`fit`, `score`, `stream`, `bench-throughput`, `eval`) from
 //! [`s2g_engine::cli`].
 //!
 //! * `s2g serve` — run the detection server on a TCP address (with
@@ -27,8 +27,8 @@ use crate::client::{Client, ClientError};
 use crate::json::Json;
 use crate::server::{Server, ServerConfig};
 
-/// Usage text printed by `s2g help` and on argument errors. Extends the
-/// engine CLI's usage with the serving subcommands.
+/// Usage text printed by `s2g help` and on argument errors: every
+/// subcommand of the binary, local and serving.
 pub const USAGE: &str = "\
 s2g — Series2Graph detection engine CLI
 
@@ -45,8 +45,11 @@ USAGE — local (in-process):
                [--refit-cooldown <n>] [--adapted-out <model.s2g>] <input.csv>
     s2g bench-throughput [--workers <n>] [--series <n>] [--length <n>]
                          [--pattern-length <n>] [--query-length <n>]
-                         [--batches <n>] [--journal-dir <dir>]
-                         [--deadline-ms <n>] [--json]
+                         [--batches <n>] [--sample-interval-ms <n>]
+                         [--journal-dir <dir>] [--deadline-ms <n>]
+                         [--skew] [--json]
+    s2g eval   [--seed <n>] [--scenario <id>[,<id>...]] [--rev <tag>]
+               [--fast] [--json] [--check] [--list]
 
 USAGE — serving (over TCP, protocol in docs/PROTOCOL.md):
     s2g serve  [--addr <host:port>] [--workers <n>] [--registry-capacity <n>]

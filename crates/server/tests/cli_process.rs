@@ -367,7 +367,31 @@ fn usage_errors_exit_with_code_two() {
 
     let help = Command::new(s2g).args(["help"]).output().unwrap();
     assert!(help.status.success());
-    assert!(String::from_utf8_lossy(&help.stdout).contains("bench-throughput"));
+    let help = String::from_utf8_lossy(&help.stdout);
+    assert!(help.contains("bench-throughput"));
+    // Every subcommand the binary dispatches, serving and local, is listed.
+    for name in [
+        "serve",
+        "top",
+        "client",
+        "models",
+        "store",
+        "obs",
+        "help",
+        "fit",
+        "score",
+        "stream",
+        "bench-throughput",
+        "eval",
+    ] {
+        assert!(
+            help.contains(&format!("s2g {name} ")) || help.contains(&format!("s2g {name}\n")),
+            "`s2g help` does not list `s2g {name}`"
+        );
+    }
+    for flag in ["--skew", "--sample-interval-ms"] {
+        assert!(help.contains(flag), "`s2g help` does not list {flag}");
+    }
 }
 
 /// One raw HTTP/1.1 request over a fresh connection; returns the full
