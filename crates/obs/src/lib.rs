@@ -153,6 +153,10 @@ pub struct Obs {
     pub store_write: Histogram,
     /// Adaptation push latency (per streaming push on adaptive sessions).
     pub adapt_push: Histogram,
+    /// Score request body parse time, on the request thread.
+    pub score_parse: Histogram,
+    /// Score response encode time, on the request thread.
+    pub score_encode: Histogram,
     /// Finished traces: lookup ring + slow-request retention.
     pub traces: TraceSink,
     /// In-flight traces, registered per request so the panic hook can
@@ -199,6 +203,8 @@ impl Obs {
             store_fault: Histogram::new(),
             store_write: Histogram::new(),
             adapt_push: Histogram::new(),
+            score_parse: Histogram::new(),
+            score_encode: Histogram::new(),
             traces: TraceSink::new(trace_ring, slow_keep),
             active: ActiveTraces::new(Self::ACTIVE_CAP),
             nonce: nonce & 0xffff_ffff,
@@ -225,7 +231,7 @@ impl Obs {
 
     /// Every named stage histogram, for uniform rendering:
     /// `(instrument name, histogram)`.
-    pub fn stages(&self) -> [(&'static str, &Histogram); 7] {
+    pub fn stages(&self) -> [(&'static str, &Histogram); 9] {
         [
             ("s2g_fit_duration_ns", &self.fit),
             ("s2g_score_duration_ns", &self.score),
@@ -234,6 +240,8 @@ impl Obs {
             ("s2g_store_fault_ns", &self.store_fault),
             ("s2g_store_write_ns", &self.store_write),
             ("s2g_adapt_push_ns", &self.adapt_push),
+            ("s2g_score_parse_ns", &self.score_parse),
+            ("s2g_score_encode_ns", &self.score_encode),
         ]
     }
 }

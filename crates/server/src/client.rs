@@ -18,7 +18,7 @@ use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crate::json::{Json, JsonError};
+use crate::json::{self, Json, JsonError};
 
 /// Errors produced by the client.
 #[derive(Debug)]
@@ -565,8 +565,14 @@ impl Client {
                 // wrong series. Refuse it up front instead.
                 return Err(ClientError::Protocol(format!("series {index} is empty")));
             }
-            let line: Vec<String> = values.iter().map(f64::to_string).collect();
-            body.push_str(&line.join(","));
+            check_finite(values)
+                .map_err(|e| ClientError::Protocol(format!("series {index}: {e}")))?;
+            for (i, &value) in values.iter().enumerate() {
+                if i > 0 {
+                    body.push(',');
+                }
+                json::write_f64(value, &mut body);
+            }
             body.push('\n');
         }
         let target = format!("/models/{name}/score?query_length={query_length}");
@@ -663,7 +669,12 @@ impl Client {
         id: &str,
         values: &[f64],
     ) -> Result<(Vec<(usize, f64)>, Option<Json>), ClientError> {
-        let body: String = values.iter().map(|v| format!("{v}\n")).collect();
+        check_finite(values).map_err(ClientError::Protocol)?;
+        let mut body = String::new();
+        for &value in values {
+            json::write_f64(value, &mut body);
+            body.push('\n');
+        }
         let target = format!("/sessions/{id}/push");
         let response = self.request_ok("POST", &target, body.as_bytes())?;
         let line = response.json_line(0)?;
@@ -708,6 +719,15 @@ impl Client {
     pub fn shutdown_server(&self) -> Result<(), ClientError> {
         self.request_ok("POST", "/admin/shutdown", b"")?;
         Ok(())
+    }
+}
+
+/// The server answers `400 invalid_csv` to `NaN` and infinities, so they
+/// are refused before a body is built: `Err` names the first one.
+fn check_finite(values: &[f64]) -> Result<(), String> {
+    match values.iter().position(|v| !v.is_finite()) {
+        Some(i) => Err(format!("value {i} is non-finite ({})", values[i])),
+        None => Ok(()),
     }
 }
 

@@ -42,6 +42,8 @@ const STAGE_NAMES: &[&str] = &[
     "s2g_store_fault_ns",
     "s2g_store_write_ns",
     "s2g_adapt_push_ns",
+    "s2g_score_parse_ns",
+    "s2g_score_encode_ns",
 ];
 
 /// Point-in-time gauges, in [`GAUGE_NAMES`] order — shared by the

@@ -413,32 +413,40 @@ impl Response {
     /// # Errors
     /// Propagates socket write failures.
     pub fn write_to_conn<W: Write>(&self, mut w: W, keep_alive: bool) -> std::io::Result<()> {
-        let body = self.lines.join("\n");
+        // The body is the lines joined by `\n` plus a final `\n`; an
+        // empty join is an empty body.
+        let joined =
+            self.lines.iter().map(String::len).sum::<usize>() + self.lines.len().saturating_sub(1);
+        let body_len = if joined == 0 { 0 } else { joined + 1 };
         let connection = if keep_alive { "keep-alive" } else { "close" };
-        let body_len = if body.is_empty() { 0 } else { body.len() + 1 };
-        let trace_header = match &self.trace_id {
-            Some(id) => format!("X-S2g-Trace: {id}\r\n"),
-            None => String::new(),
-        };
-        let retry_header = match self.retry_after {
-            Some(secs) => format!("Retry-After: {secs}\r\n"),
-            None => String::new(),
-        };
         // Head and body go out in a single write: on a persistent
         // connection a trailing small segment would otherwise sit in the
         // kernel behind Nagle's algorithm until the peer's delayed ACK
         // (tens of milliseconds) — the old close-per-request design never
-        // noticed because the FIN flushed it.
-        let mut wire = format!(
-            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {connection}\r\n{trace_header}{retry_header}\r\n",
+        // noticed because the FIN flushed it. The buffer is sized once.
+        let mut wire = Vec::with_capacity(256 + body_len);
+        write!(
+            wire,
+            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {connection}\r\n",
             self.status,
             self.reason(),
             self.content_type,
             body_len,
-        )
-        .into_bytes();
-        wire.extend_from_slice(body.as_bytes());
-        if !body.is_empty() {
+        )?;
+        if let Some(id) = &self.trace_id {
+            write!(wire, "X-S2g-Trace: {id}\r\n")?;
+        }
+        if let Some(secs) = self.retry_after {
+            write!(wire, "Retry-After: {secs}\r\n")?;
+        }
+        wire.extend_from_slice(b"\r\n");
+        if body_len > 0 {
+            for (i, line) in self.lines.iter().enumerate() {
+                if i > 0 {
+                    wire.push(b'\n');
+                }
+                wire.extend_from_slice(line.as_bytes());
+            }
             wire.push(b'\n');
         }
         w.write_all(&wire)?;
@@ -602,5 +610,36 @@ mod tests {
         assert!(text.contains("Content-Length: 8\r\n"));
         assert!(text.contains("Connection: close\r\n"));
         assert!(text.ends_with("\r\n\r\n{\"a\":1}\n"));
+    }
+
+    #[test]
+    fn response_body_is_the_joined_lines_and_a_final_newline() {
+        for lines in [
+            vec![],
+            vec![""],
+            vec!["", ""],
+            vec!["", "x"],
+            vec!["a", "bc", ""],
+        ] {
+            let lines: Vec<String> = lines.into_iter().map(String::from).collect();
+            let joined = lines.join("\n");
+            let body = if joined.is_empty() {
+                joined
+            } else {
+                joined + "\n"
+            };
+            let mut response = Response::ok(lines.clone());
+            response.trace_id = Some("00ab".to_string());
+            response.retry_after = Some(2);
+            let mut out = Vec::new();
+            response.write_to_conn(&mut out, true).unwrap();
+            let text = String::from_utf8(out).unwrap();
+            let head = format!(
+                "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nContent-Length: {}\r\n\
+                 Connection: keep-alive\r\nX-S2g-Trace: 00ab\r\nRetry-After: 2\r\n\r\n",
+                body.len()
+            );
+            assert_eq!(text, head + &body, "{lines:?}");
+        }
     }
 }

@@ -71,6 +71,7 @@
 
 pub mod cli;
 pub mod client;
+mod csv;
 pub mod error;
 mod history;
 pub mod http;

@@ -32,12 +32,13 @@ use s2g_obs::journal::{
 };
 use s2g_obs::{FinishedTrace, HistogramSnapshot, Obs, Recorder, SpanCtx, TraceId, TraceScope};
 use s2g_store::{ModelStore, StoreConfig};
-use s2g_timeseries::{io as ts_io, TimeSeries};
+use s2g_timeseries::io as ts_io;
 
+use crate::csv;
 use crate::error::ApiError;
 use crate::history;
 use crate::http::{read_request, Method, ParseError, Request, Response};
-use crate::json::Json;
+use crate::json::{self, Json};
 use crate::metrics::Metrics;
 use crate::selfwatch::SelfWatch;
 use crate::sessions::SessionTable;
@@ -1918,23 +1919,6 @@ fn handle_delete_model(shared: &Shared, name: &str) -> Result<Response, ApiError
     Ok(Response::ok(vec![body.encode()]))
 }
 
-/// Parses one comma-separated series line; `Err` carries the first
-/// unparseable token.
-fn parse_series_line(line: &str) -> Result<Vec<f64>, String> {
-    let mut values = Vec::new();
-    for token in line.split(',') {
-        let token = token.trim();
-        if token.is_empty() {
-            continue;
-        }
-        match token.parse::<f64>() {
-            Ok(value) => values.push(value),
-            Err(_) => return Err(token.to_string()),
-        }
-    }
-    Ok(values)
-}
-
 fn handle_score(
     shared: &Shared,
     name: &str,
@@ -1943,28 +1927,11 @@ fn handle_score(
 ) -> Result<Response, ApiError> {
     admit(shared)?;
     let query_length = required_query_usize(request, "query_length")?;
+    let started = Instant::now();
     let text = request.body_text()?;
-    let mut series = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        match parse_series_line(line) {
-            Ok(values) => series.push(TimeSeries::from(values)),
-            // Mirror `parse_series`: an unparseable first line is treated
-            // as a header row and skipped, so the same CSV file is
-            // accepted by fit and score alike.
-            Err(_) if lineno == 0 => continue,
-            Err(token) => {
-                return Err(ApiError::new(
-                    400,
-                    "invalid_csv",
-                    format!("line {}: unparseable value {token:?}", lineno + 1),
-                ));
-            }
-        }
-    }
+    let parsed = csv::parse_score_body(text);
+    shared.obs.score_parse.record_duration(started.elapsed());
+    let series = parsed?;
     if series.is_empty() {
         return Err(ApiError::bad_request("request body contains no series"));
     }
@@ -1975,27 +1942,38 @@ fn handle_score(
         .engine
         .score_many_traced(name, series, query_length, Some(ctx))?;
     shared.metrics.record_scores(n_series);
+    let started = Instant::now();
     let lines = results
         .into_iter()
         .enumerate()
-        .map(|(index, result)| {
-            match result {
-                Ok(scores) => {
-                    Json::obj([("index", Json::from(index)), ("scores", Json::arr(scores))])
-                }
-                Err(e) => {
-                    let api = ApiError::from(e);
-                    Json::obj([
-                        ("index", Json::from(index)),
-                        ("error", Json::from(api.code)),
-                        ("message", Json::from(api.message)),
-                    ])
-                }
+        .map(|(index, result)| match result {
+            Ok(scores) => score_line(index, &scores),
+            Err(e) => {
+                let api = ApiError::from(e);
+                Json::obj([
+                    ("index", Json::from(index)),
+                    ("error", Json::from(api.code)),
+                    ("message", Json::from(api.message)),
+                ])
+                .encode()
             }
-            .encode()
         })
         .collect();
+    shared.obs.score_encode.record_duration(started.elapsed());
     Ok(Response::ok(lines))
+}
+
+/// `{"index":i,"scores":[…]}`, written straight into one string; the
+/// bytes equal the encoded `Json` object's.
+fn score_line(index: usize, scores: &[f64]) -> String {
+    // A score in [0.01, 1] takes at most 21 bytes with its comma.
+    let mut line = String::with_capacity(32 + 21 * scores.len());
+    line.push_str("{\"index\":");
+    json::write_f64(index as f64, &mut line);
+    line.push_str(",\"scores\":");
+    json::write_f64_array(scores, &mut line);
+    line.push('}');
+    line
 }
 
 /// Parses the optional `"adapt"` member of a `POST /sessions` body:

@@ -95,6 +95,75 @@ fn metrics_expose_latency_histograms_and_pool_gauges() {
 }
 
 #[test]
+fn score_parse_and_encode_get_one_sample_per_score_request() {
+    let (addr, handle, server_thread) = start(ServerConfig::default().with_sample_interval_ms(50));
+    let client = Client::new(addr);
+    client
+        .fit_model("phases", "pattern_length=40", &sine_csv(2000, 80.0))
+        .unwrap();
+    let probe: Vec<f64> = (0..600)
+        .map(|i| (std::f64::consts::TAU * i as f64 / 70.0).sin())
+        .collect();
+    // Three requests, one of them carrying two series: one sample each.
+    client
+        .score("phases", 120, std::slice::from_ref(&probe))
+        .unwrap();
+    client
+        .score("phases", 120, &[probe.clone(), probe.clone()])
+        .unwrap();
+    client.score("phases", 120, &[probe]).unwrap();
+
+    let text = client.metrics().unwrap().join("\n");
+    for needle in [
+        "s2g_score_parse_ns_count 3",
+        "s2g_score_encode_ns_count 3",
+        "s2g_score_duration_ns_count 4",
+    ] {
+        assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
+    }
+    let stages = client.metrics_json().unwrap();
+    for name in ["s2g_score_parse_ns", "s2g_score_encode_ns"] {
+        let stage = stages.get("stages").unwrap().get(name).unwrap();
+        assert_eq!(stage.get("count").unwrap().as_usize(), Some(3), "{name}");
+    }
+
+    // The flight recorder retains both as stage series.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    loop {
+        let history = client.metrics_history(0, 1).unwrap();
+        let schema = history
+            .get("schema")
+            .and_then(|s| s.get("histograms"))
+            .and_then(Json::as_array)
+            .unwrap()
+            .to_vec();
+        let counts: Option<Vec<usize>> = ["s2g_score_parse_ns", "s2g_score_encode_ns"]
+            .iter()
+            .map(|name| {
+                let index = schema.iter().position(|n| n.as_str() == Some(name))?;
+                let last = history.get("series")?.as_array()?.last()?;
+                last.get("histograms")?
+                    .as_array()?
+                    .get(index)?
+                    .get("count")?
+                    .as_usize()
+            })
+            .collect();
+        if counts == Some(vec![3, 3]) {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "history never showed both stages at 3: {counts:?}"
+        );
+        thread::sleep(std::time::Duration::from_millis(25));
+    }
+
+    handle.shutdown();
+    server_thread.join().unwrap();
+}
+
+#[test]
 fn scrape_routes_land_in_the_internal_family_only() {
     let (addr, handle, server_thread) = start(ServerConfig::default());
     let client = Client::new(addr);

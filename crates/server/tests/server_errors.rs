@@ -235,3 +235,93 @@ fn idle_sessions_are_evicted_and_push_gets_404() {
     handle.shutdown();
     server_thread.join().unwrap();
 }
+
+/// `(status, code, message)` of an API error.
+fn api_error_message(result: Result<impl std::fmt::Debug, ClientError>) -> (u16, String, String) {
+    match result {
+        Err(ClientError::Api {
+            status,
+            code,
+            message,
+        }) => (status, code, message),
+        other => panic!("expected ClientError::Api, got {other:?}"),
+    }
+}
+
+/// A 6,000-point series, one value per line, with `NaN` on line 3001.
+fn csv_with_nan() -> String {
+    let mut values: Vec<String> = sine_csv_values(6000).iter().map(f64::to_string).collect();
+    values[3000] = "NaN".to_string();
+    values.join("\n") + "\n"
+}
+
+#[test]
+fn non_finite_values_get_400_invalid_csv_on_every_route() {
+    let (addr, handle, server_thread) = start_server(ServerConfig::default());
+    let client = Client::new(addr);
+    client
+        .fit_model("model", "pattern_length=50", &sine_csv(2000))
+        .unwrap();
+
+    // Score: a NaN mid-series used to be scored (its window assigned a
+    // node by a saturating cast); it must name the line and the token.
+    let mut series: Vec<String> = sine_csv_values(6000).iter().map(f64::to_string).collect();
+    series[3000] = "NaN".to_string();
+    let body = format!("1,2,3\n{}\n", series.join(","));
+    let response = client.request(
+        "POST",
+        "/models/model/score?query_length=150",
+        body.as_bytes(),
+    );
+    let (status, code, message) = api_error_message(response.unwrap().into_result());
+    assert_eq!((status, code.as_str()), (400, "invalid_csv"));
+    assert!(
+        message.contains("line 2") && message.contains("\"NaN\""),
+        "{message}"
+    );
+    // On the first line too: a non-finite value is not a header.
+    for first in ["inf\n", "-infinity,1\n", "1e999\n"] {
+        let response = client.request(
+            "POST",
+            "/models/model/score?query_length=150",
+            first.as_bytes(),
+        );
+        let (status, code, message) = api_error_message(response.unwrap().into_result());
+        assert_eq!((status, code.as_str()), (400, "invalid_csv"), "{first:?}");
+        assert!(message.contains("line 1"), "{message}");
+    }
+
+    // Fit: the same NaN used to surface as 422 degenerate_series.
+    let result = client.fit_model("nan", "pattern_length=50", &csv_with_nan());
+    let (status, code, message) = api_error_message(result);
+    assert_eq!((status, code.as_str()), (400, "invalid_csv"));
+    assert!(
+        message.contains("line 3001") && message.contains("\"NaN\""),
+        "{message}"
+    );
+
+    // Push: a streaming session rejects it as well.
+    let session = client.open_session("model", 150).unwrap();
+    let response = client.request("POST", &format!("/sessions/{session}/push"), b"0.25\nnan\n");
+    let (status, code, message) = api_error_message(response.unwrap().into_result());
+    assert_eq!((status, code.as_str()), (400, "invalid_csv"));
+    assert!(
+        message.contains("line 2") && message.contains("\"nan\""),
+        "{message}"
+    );
+
+    // The client refuses them before sending, as it refuses empty series.
+    let mut values = sine_csv_values(600);
+    values[7] = f64::NAN;
+    let err = client.score("model", 150, &[values.clone()]).unwrap_err();
+    assert!(matches!(err, ClientError::Protocol(_)), "{err:?}");
+    let err = client
+        .push_session(&session, &[0.5, f64::INFINITY])
+        .unwrap_err();
+    assert!(matches!(err, ClientError::Protocol(_)), "{err:?}");
+    // Nothing reached the session: it has consumed no points.
+    assert_eq!(client.close_session(&session).unwrap(), 0);
+
+    handle.shutdown();
+    server_thread.join().unwrap();
+}

@@ -28,7 +28,7 @@ impl SeriesParser {
     /// Consumes one line (0-indexed). Empty lines and lines starting with
     /// `#` are skipped; a first line that does not parse as a number is
     /// treated as a header row; only the first comma-separated field of a
-    /// line is read.
+    /// line is read. A non-finite value is an error on every line.
     fn push_line(&mut self, lineno: usize, line: &str) -> Result<()> {
         let token = line.trim();
         if token.is_empty() || token.starts_with('#') {
@@ -36,10 +36,14 @@ impl SeriesParser {
         }
         let field = token.split(',').next().unwrap_or(token).trim();
         match field.parse::<f64>() {
-            Ok(v) => {
+            Ok(v) if v.is_finite() => {
                 self.values.push(v);
                 Ok(())
             }
+            Ok(_) => Err(Error::NonFinite {
+                line: lineno + 1,
+                token: field.to_string(),
+            }),
             Err(_) if lineno == 0 => Ok(()), // tolerate a header row
             Err(_) => Err(Error::Parse {
                 line: lineno + 1,
@@ -58,6 +62,7 @@ impl SeriesParser {
 ///
 /// Empty lines and lines starting with `#` are skipped. A header line that
 /// does not parse as a number is also skipped (only for the first line).
+/// `NaN` and infinities are rejected with [`Error::NonFinite`] on any line.
 /// This is the exact parser behind [`read_series`]; exposing it lets other
 /// layers (e.g. a network server receiving a posted CSV body) decode series
 /// text through the *same* code path as the file reader, so a value parsed
@@ -75,6 +80,7 @@ pub fn parse_series(text: &str) -> Result<TimeSeries> {
 ///
 /// Empty lines and lines starting with `#` are skipped. A header line that
 /// does not parse as a number is also skipped (only for the first line).
+/// `NaN` and infinities are rejected with [`Error::NonFinite`] on any line.
 pub fn read_series<P: AsRef<Path>>(path: P) -> Result<TimeSeries> {
     let file = File::open(path)?;
     let reader = BufReader::new(file);
@@ -202,6 +208,28 @@ mod tests {
         std::fs::write(&path, "1.0\nnot_a_number\n").unwrap();
         let err = read_series(&path).unwrap_err();
         assert!(matches!(err, Error::Parse { line: 2, .. }));
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn non_finite_values_are_rejected_on_every_line() {
+        for (text, line, token) in [
+            ("NaN\n1\n", 1, "NaN"),
+            ("value\n1\ninf,0\n", 3, "inf"),
+            ("1\n-infinity\n", 2, "-infinity"),
+            ("1\n1e999\n", 2, "1e999"),
+        ] {
+            match parse_series(text).unwrap_err() {
+                Error::NonFinite { line: l, token: t } => {
+                    assert_eq!((l, t.as_str()), (line, token))
+                }
+                other => panic!("{text:?}: {other:?}"),
+            }
+        }
+        let path = tmp("nan.csv");
+        std::fs::write(&path, "1.0\nnan\n").unwrap();
+        let err = read_series(&path).unwrap_err();
+        assert!(matches!(err, Error::NonFinite { line: 2, .. }));
         std::fs::remove_file(path).ok();
     }
 
