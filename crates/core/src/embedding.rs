@@ -24,7 +24,10 @@ use crate::error::{Error, Result};
 const MIN_PROJECTED_VALUES_PER_THREAD: usize = 1 << 20;
 
 /// The fitted embedding: PCA + rotation learned on the training series, plus
-/// the projected trajectory of that series.
+/// the projected trajectory of that series as [`Embedding::fit`] returns it.
+/// The trajectory is only an input to node and edge extraction: a fitted
+/// [`crate::Series2Graph`] drops it, so a model's embedding holds the basis
+/// alone and an empty `points`.
 #[derive(Debug, Clone)]
 pub struct Embedding {
     /// Pattern length `ℓ` used to build the embedding.
@@ -37,6 +40,7 @@ pub struct Embedding {
     rotation: Rotation3,
     /// The `(y, z)` coordinates of every embedded subsequence of the training
     /// series, in time order (`SProj` restricted to its last two components).
+    /// Empty in the embedding of a fitted or loaded model.
     pub points: Vec<Vec2>,
     /// Fraction of variance explained by the three kept components.
     pub explained_variance_ratio: f64,
@@ -169,16 +173,6 @@ impl Embedding {
         &self.rotation
     }
 
-    /// Number of embedded points of the training series.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// `true` when the embedding holds no points.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
     /// Projects a (possibly unseen) series with the *already fitted* PCA and
     /// rotation, returning the `(y, z)` trajectory of its subsequences.
     ///
@@ -243,8 +237,7 @@ mod tests {
         let series = sine_series(2000, 100.0);
         let config = S2gConfig::new(60);
         let emb = Embedding::fit(&series, &config).unwrap();
-        assert_eq!(emb.len(), 2000 - 60 + 1);
-        assert!(!emb.is_empty());
+        assert_eq!(emb.points.len(), 2000 - 60 + 1);
     }
 
     #[test]

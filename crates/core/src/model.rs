@@ -47,7 +47,9 @@ pub struct Series2Graph {
 
 impl Series2Graph {
     /// Fits a Series2Graph model on a series: embedding → node extraction →
-    /// edge extraction (steps 1–3 of the paper).
+    /// edge extraction (steps 1–3 of the paper). The projected training
+    /// trajectory feeds node and edge extraction and is then dropped: the
+    /// model is the graph plus the embedding basis.
     ///
     /// # Errors
     /// Propagates configuration, length and degeneracy errors from the
@@ -59,29 +61,29 @@ impl Series2Graph {
         let extraction = EdgeExtraction::extract(&embedding.points, &nodes)?;
         let train_contributions =
             scoring::gap_contributions(&extraction.graph, &extraction.transitions);
-        Ok(Self {
-            config: config.clone(),
+        Self::from_parts(
+            config.clone(),
             embedding,
             nodes,
-            graph: extraction.graph,
+            extraction.graph,
             train_contributions,
-            train_len: series.len(),
-            lineage: None,
-        })
+            series.len(),
+        )
     }
 
     /// Reassembles a fitted model from its parts without refitting, e.g. when
     /// loading a persisted model. The parts must come from a consistent fit:
     /// the graph must have one node per [`NodeSet`] node and
     /// `train_contributions` must be the per-gap contributions of the
-    /// training series.
+    /// training series. Any training trajectory still in `embedding.points`
+    /// is dropped.
     ///
     /// # Errors
     /// [`Error::InvalidConfig`] when the configuration is invalid or the
     /// graph/node-set sizes disagree.
     pub fn from_parts(
         config: S2gConfig,
-        embedding: Embedding,
+        mut embedding: Embedding,
         nodes: NodeSet,
         graph: DiGraph,
         train_contributions: Vec<f64>,
@@ -95,6 +97,7 @@ impl Series2Graph {
                 nodes.node_count()
             )));
         }
+        embedding.points = Vec::new();
         Ok(Self {
             config,
             embedding,

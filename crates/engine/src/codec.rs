@@ -3,24 +3,24 @@
 //! Training a Series2Graph model is the expensive step of the pipeline;
 //! scoring against a fitted model is cheap. This codec makes *train once,
 //! score many times across processes* possible: it round-trips every part of
-//! a fitted model — configuration, PCA + rotation embedding, node set,
+//! a fitted model — configuration, PCA + rotation embedding basis, node set,
 //! transition graph and the cached training contributions — so a loaded model
 //! produces **bit-identical** scores to the in-memory one it was saved from.
+//! A model is the graph plus the embedding basis: the projected training
+//! trajectory only feeds node and edge extraction, and no model carries it.
 //!
-//! ## Format (`S2GMDL`, version 2)
+//! ## Format (`S2GMDL`, version 3)
 //!
 //! Little-endian throughout; every `f64` is stored as its IEEE-754 bit
 //! pattern (`to_bits`), which is what guarantees bit-identical round-trips.
-//! Version 2 is a *sectioned* layout: after the fixed header comes a seekable
-//! section index, so a reader can open the small sections (config, embedding
-//! basis, nodes, graph, train cache) without touching the large one (the
-//! embedding points — by far the dominant share of a model file). That is
-//! the property the lazy `s2g-store` model store is built on.
+//! After the fixed header comes a section index, so a reader can locate and
+//! verify one section (say, the train section for lineage) without reading
+//! the others.
 //!
 //! ```text
 //! magic      8 bytes  b"S2GMDL\xF0\x9F"
-//! version    u32 = 2
-//! count      u32      number of index entries (6)
+//! version    u32 = 3
+//! count      u32      number of index entries (5)
 //! index      count × { kind u32, offset u64, len u64, checksum u64 }
 //!                     offset is absolute from the file start; checksum is
 //!                     FNV-1a over exactly the section's payload bytes, so
@@ -35,26 +35,27 @@
 //! |---|---|
 //! | 1 `config` | pattern_length, lambda, rate, kde_grid_points: u64; smooth_scores u8; bandwidth tag u8 (0 = Scott \| 1 = SigmaRatio + f64); pca_solver tag u8 (0 = Covariance \| 1 = RandomizedSvd + oversample u64 + power_iterations u64 + seed u64); seed u64 |
 //! | 2 `embedding` | explained_variance_ratio f64; pca: input_dim u64, n_components u64, mean f64[], components (row-major) f64[], explained_variance f64[], total_variance f64; rotation 9 × f64 (row-major 3×3) |
-//! | 3 `points` | n u64, then n × (y f64, z f64) |
 //! | 4 `nodes` | rate u64, then per ray an f64[] of node radii |
 //! | 5 `graph` | node_count u64, edge_count u64, then per edge from u64, to u64, weight f64 |
 //! | 6 `train` | train_len u64, contributions f64[], then *optionally* the adaptation lineage: parent_checksum u64, update_count u64, decay_lambda f64 |
 //!
 //! The lineage tail is written only for adapted models (those carrying an
-//! [`AdaptationLineage`]); pristine fits encode exactly as before, so their
-//! checksums are unchanged and older files (without the tail) keep
-//! decoding. Readers detect the tail by the bytes remaining after the
-//! contributions array.
+//! [`AdaptationLineage`]); pristine fits encode without it. Readers detect
+//! the tail by the bytes remaining after the contributions array.
 //!
-//! ## Version 1 (legacy, read-compatible)
+//! ## Versions 1 and 2 (legacy, read-only)
 //!
-//! Version 1 files carry the same payloads with no index, concatenated
-//! directly after `magic + version` in the order
-//! `config, embedding, points, nodes, graph, train`, followed by the same
-//! whole-file trailer. [`decode_model`] reads both versions and produces
-//! bit-identical models from either encoding of the same fit;
-//! [`encode_model_v1`] still writes the legacy layout (used by the store's
-//! migration tests and downgrade tooling).
+//! Both legacy versions also stored the training trajectory as a
+//! `points` section (kind 3, between `embedding` and `nodes`: `n u64`, then
+//! `n × (y f64, z f64)`). Version 2 is the version-3 layout with that sixth
+//! section; version 1 has no index and concatenates the six payloads
+//! directly after `magic + version`, followed by the same trailer.
+//! [`decode_model`] reads every version, checks that a legacy points section
+//! is well-formed (the trailer covers its bytes), skips it, and produces the
+//! same model as the version-3 encoding of the same fit.
+//! [`encode_legacy_model`] writes either legacy layout from a model plus the
+//! trajectory [`Embedding::fit`] returns, for fixtures and for the
+//! version-2 golden checksums.
 //!
 //! Any truncation, bit flip or unknown version is rejected with a precise
 //! [`Error`] instead of yielding a silently wrong model.
@@ -80,7 +81,7 @@ use crate::util::fnv1a;
 pub const MAGIC: [u8; 8] = *b"S2GMDL\xF0\x9F";
 
 /// Highest format version this build reads and the version it writes.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Oldest format version this build still reads.
 pub const MIN_FORMAT_VERSION: u32 = 1;
@@ -95,17 +96,16 @@ pub const INDEX_ENTRY_LEN: usize = 4 + 8 + 8 + 8;
 // Section index
 // ---------------------------------------------------------------------------
 
-/// The six sections of a version-2 model file, in file order.
+/// The sections of a model file. Version 3 writes [`SectionKind::CURRENT`];
+/// legacy files also carry [`SectionKind::Points`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SectionKind {
     /// Fit configuration ([`S2gConfig`]).
     Config,
-    /// Embedding basis: explained variance, PCA, rotation — *without* the
-    /// projected points.
+    /// Embedding basis: explained variance, PCA, rotation.
     Embedding,
-    /// The projected `(y, z)` trajectory of the training series: the
-    /// dominant share of a model file, and the section a lazy reader
-    /// faults in on demand.
+    /// The projected `(y, z)` trajectory of the training series, present
+    /// only in legacy (v1 and v2) files; readers verify and skip it.
     Points,
     /// The extracted pattern node set.
     Nodes,
@@ -116,7 +116,7 @@ pub enum SectionKind {
 }
 
 impl SectionKind {
-    /// Every section kind, in the order sections are written to the file.
+    /// Every section kind, in the order a version-2 file lays them out.
     pub const ALL: [SectionKind; 6] = [
         SectionKind::Config,
         SectionKind::Embedding,
@@ -125,6 +125,25 @@ impl SectionKind {
         SectionKind::Graph,
         SectionKind::Train,
     ];
+
+    /// The sections of a version-3 file, in file order: version 2's
+    /// without `points`.
+    pub const CURRENT: [SectionKind; 5] = [
+        SectionKind::Config,
+        SectionKind::Embedding,
+        SectionKind::Nodes,
+        SectionKind::Graph,
+        SectionKind::Train,
+    ];
+
+    /// The sections an indexed file of `version` (2 or 3) carries.
+    fn layout(version: u32) -> &'static [SectionKind] {
+        if version == 2 {
+            &SectionKind::ALL
+        } else {
+            &SectionKind::CURRENT
+        }
+    }
 
     /// The on-disk tag of this kind.
     pub fn tag(self) -> u32 {
@@ -162,7 +181,7 @@ impl std::fmt::Display for SectionKind {
     }
 }
 
-/// One entry of a version-2 section index.
+/// One entry of a section index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SectionEntry {
     /// Which section this entry locates.
@@ -176,8 +195,8 @@ pub struct SectionEntry {
     pub checksum: u64,
 }
 
-/// The parsed section index of a version-2 model file: where each section
-/// lives, how long it is, and its independent checksum.
+/// The parsed section index of a version-2 or version-3 model file: where
+/// each section lives, how long it is, and its independent checksum.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SectionIndex {
     entries: Vec<SectionEntry>,
@@ -254,13 +273,14 @@ impl SectionIndex {
     }
 }
 
-/// Parses the section index from the head of a version-2 file. `prefix`
-/// must start at file offset 0 and be long enough to cover header + index
-/// (`FIXED_HEADER_LEN + count × INDEX_ENTRY_LEN` bytes).
+/// Parses the section index from the head of a version-2 or version-3
+/// file. `prefix` must start at file offset 0 and be long enough to cover
+/// header + index (`FIXED_HEADER_LEN + count × INDEX_ENTRY_LEN` bytes).
 ///
 /// # Errors
-/// [`Error::Format`] on bad magic, truncation, or a malformed index;
-/// [`Error::UnsupportedVersion`] when the version field is not 2.
+/// [`Error::Format`] on bad magic, truncation, or an index that is
+/// malformed or does not list exactly its version's sections;
+/// [`Error::UnsupportedVersion`] when the version field is not 2 or 3.
 pub fn parse_section_index(prefix: &[u8]) -> Result<SectionIndex> {
     let mut r = Reader::new(prefix);
     let magic = r.take(MAGIC.len(), "magic")?;
@@ -270,7 +290,7 @@ pub fn parse_section_index(prefix: &[u8]) -> Result<SectionIndex> {
         ));
     }
     let version = r.get_u32("version")?;
-    if version != 2 {
+    if !matches!(version, 2 | 3) {
         return Err(Error::UnsupportedVersion {
             found: version,
             supported: FORMAT_VERSION,
@@ -299,18 +319,25 @@ pub fn parse_section_index(prefix: &[u8]) -> Result<SectionIndex> {
         }
         entries.push(entry);
     }
+    let layout = SectionKind::layout(version);
+    if let Some(extra) = entries.iter().find(|e| !layout.contains(&e.kind)) {
+        return Err(Error::Format(format!(
+            "a version-{version} file has no {} section",
+            extra.kind
+        )));
+    }
     let index = SectionIndex { entries };
-    for kind in SectionKind::ALL {
+    for &kind in layout {
         index.require(kind)?;
     }
     Ok(index)
 }
 
-/// Reads the format version and, for version-2 files, the section index
-/// from the head of a model file — without reading any payload bytes.
+/// Reads the format version and, for indexed (v2 and v3) files, the section
+/// index from the head of a model file — without reading any payload bytes.
 /// Returns `(version, None)` for version-1 files (which have no index).
 ///
-/// This is the entry point a lazy reader uses: open the file, read the
+/// This is the entry point of a metadata read: open the file, read the
 /// header, then fetch exactly the sections it needs by offset.
 ///
 /// # Errors
@@ -329,7 +356,7 @@ pub fn read_header<R: Read>(reader: &mut R) -> Result<(u32, Option<SectionIndex>
     let version = u32::from_le_bytes(fixed[8..12].try_into().expect("4-byte slice"));
     match version {
         1 => Ok((1, None)),
-        2 => {
+        2 | 3 => {
             let count =
                 u32::from_le_bytes(fixed[12..16].try_into().expect("4-byte slice")) as usize;
             if count == 0 || count > 32 {
@@ -343,7 +370,7 @@ pub fn read_header<R: Read>(reader: &mut R) -> Result<(u32, Option<SectionIndex>
                 .map_err(|_| truncated("section index"))?;
             let mut prefix = fixed.to_vec();
             prefix.extend_from_slice(&rest);
-            Ok((2, Some(parse_section_index(&prefix)?)))
+            Ok((version, Some(parse_section_index(&prefix)?)))
         }
         v => Err(Error::UnsupportedVersion {
             found: v,
@@ -354,7 +381,7 @@ pub fn read_header<R: Read>(reader: &mut R) -> Result<(u32, Option<SectionIndex>
 
 /// Verifies a section payload against its index entry: exact length and
 /// independent FNV-1a checksum. This is what makes partial reads safe —
-/// a lazily-faulted section is checked without touching the rest of the
+/// a section read on its own is checked without touching the rest of the
 /// file.
 ///
 /// # Errors
@@ -600,47 +627,58 @@ fn write_train_section(w: &mut Writer, model: &Series2Graph) {
     }
 }
 
-/// The six section payloads of a model, in [`SectionKind::ALL`] order.
-fn section_payloads(model: &Series2Graph) -> [Vec<u8>; 6] {
-    let mut payloads: [Vec<u8>; 6] = Default::default();
-    for (slot, kind) in payloads.iter_mut().zip(SectionKind::ALL) {
-        let mut w = Writer::new();
-        match kind {
-            SectionKind::Config => write_config_section(&mut w, model.config()),
-            SectionKind::Embedding => write_embedding_section(&mut w, model.embedding()),
-            SectionKind::Points => write_points_section(&mut w, &model.embedding().points),
-            SectionKind::Nodes => write_nodes_section(&mut w, model.node_set()),
-            SectionKind::Graph => write_graph_section(&mut w, model.graph()),
-            SectionKind::Train => write_train_section(&mut w, model),
-        }
-        *slot = w.buf;
+/// The payload of `model`'s `kind` section; a points section holds
+/// `points`.
+fn section_payload(model: &Series2Graph, points: &[Vec2], kind: SectionKind) -> Vec<u8> {
+    let mut w = Writer::new();
+    match kind {
+        SectionKind::Config => write_config_section(&mut w, model.config()),
+        SectionKind::Embedding => write_embedding_section(&mut w, model.embedding()),
+        SectionKind::Points => write_points_section(&mut w, points),
+        SectionKind::Nodes => write_nodes_section(&mut w, model.node_set()),
+        SectionKind::Graph => write_graph_section(&mut w, model.graph()),
+        SectionKind::Train => write_train_section(&mut w, model),
     }
-    payloads
+    w.buf
 }
 
 // ---------------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------------
 
-/// Serialises a fitted model into the current (version 2, sectioned)
-/// binary format.
-pub fn encode_model(model: &Series2Graph) -> Vec<u8> {
-    let payloads = section_payloads(model);
-    let header_len = FIXED_HEADER_LEN + payloads.len() * INDEX_ENTRY_LEN;
+/// Frames the `kinds` sections of `model` as a file of `version`: an index
+/// of per-section checksums for versions ≥ 2, bare concatenation for
+/// version 1, and the whole-file trailer either way.
+fn encode_sections(
+    version: u32,
+    model: &Series2Graph,
+    points: &[Vec2],
+    kinds: &[SectionKind],
+) -> Vec<u8> {
+    let payloads: Vec<Vec<u8>> = kinds
+        .iter()
+        .map(|&kind| section_payload(model, points, kind))
+        .collect();
+    let header_len = match version {
+        1 => MAGIC.len() + 4,
+        _ => FIXED_HEADER_LEN + kinds.len() * INDEX_ENTRY_LEN,
+    };
     let total: usize = payloads.iter().map(Vec::len).sum();
 
     let mut w = Writer::new();
     w.buf.reserve(header_len + total + 8);
     w.buf.extend_from_slice(&MAGIC);
-    w.put_u32(FORMAT_VERSION);
-    w.put_u32(payloads.len() as u32);
-    let mut offset = header_len as u64;
-    for (kind, payload) in SectionKind::ALL.into_iter().zip(&payloads) {
-        w.put_u32(kind.tag());
-        w.put_u64(offset);
-        w.put_u64(payload.len() as u64);
-        w.put_u64(fnv1a(payload));
-        offset += payload.len() as u64;
+    w.put_u32(version);
+    if version > 1 {
+        w.put_u32(kinds.len() as u32);
+        let mut offset = header_len as u64;
+        for (kind, payload) in kinds.iter().zip(&payloads) {
+            w.put_u32(kind.tag());
+            w.put_u64(offset);
+            w.put_u64(payload.len() as u64);
+            w.put_u64(fnv1a(payload));
+            offset += payload.len() as u64;
+        }
     }
     for payload in &payloads {
         w.buf.extend_from_slice(payload);
@@ -650,21 +688,26 @@ pub fn encode_model(model: &Series2Graph) -> Vec<u8> {
     w.buf
 }
 
-/// Serialises a fitted model into the legacy version-1 layout (no section
-/// index; payloads concatenated in order). Kept so migration paths and
-/// downgrade tooling can produce v1 files; [`decode_model`] reads both
-/// versions bit-identically.
-pub fn encode_model_v1(model: &Series2Graph) -> Vec<u8> {
-    let payloads = section_payloads(model);
-    let mut w = Writer::new();
-    w.buf.extend_from_slice(&MAGIC);
-    w.put_u32(1);
-    for payload in &payloads {
-        w.buf.extend_from_slice(payload);
-    }
-    let checksum = fnv1a(&w.buf);
-    w.put_u64(checksum);
-    w.buf
+/// Serialises a fitted model into the current (version 3) binary format.
+pub fn encode_model(model: &Series2Graph) -> Vec<u8> {
+    encode_sections(FORMAT_VERSION, model, &[], &SectionKind::CURRENT)
+}
+
+/// Serialises a fitted model plus its training trajectory (the `points`
+/// of [`Embedding::fit`] on the training series) into a legacy layout:
+/// version 1 (no index) or version 2 (indexed, with a points section).
+/// Kept for fixtures of files older builds wrote and for the version-2
+/// golden checksums; [`decode_model`] reads the output back to the same
+/// model as [`encode_model`]'s.
+///
+/// # Panics
+/// When `version` is neither 1 nor 2.
+pub fn encode_legacy_model(model: &Series2Graph, points: &[Vec2], version: u32) -> Vec<u8> {
+    assert!(
+        matches!(version, 1 | 2),
+        "legacy model formats are versions 1 and 2, not {version}"
+    );
+    encode_sections(version, model, points, &SectionKind::ALL)
 }
 
 /// Content checksum of a fitted model: the FNV-1a checksum its encoded form
@@ -754,7 +797,7 @@ fn read_config_section(r: &mut Reader<'_>) -> Result<S2gConfig> {
     Ok(config)
 }
 
-/// Embedding basis without the projected points.
+/// The contents of an embedding section.
 struct EmbeddingParts {
     explained_variance_ratio: f64,
     pca: Pca,
@@ -786,15 +829,13 @@ fn read_embedding_section(r: &mut Reader<'_>) -> Result<EmbeddingParts> {
     })
 }
 
-fn read_points_section(r: &mut Reader<'_>) -> Result<Vec<Vec2>> {
+/// Checks that a legacy points payload is well-formed (a count, then
+/// exactly that many `(y, z)` pairs) and moves past it without
+/// materialising the trajectory.
+fn skip_points_section(r: &mut Reader<'_>) -> Result<()> {
     let n_points = r.get_len(16, "points")?;
-    let mut points = Vec::with_capacity(n_points);
-    for _ in 0..n_points {
-        let y = r.get_f64("points")?;
-        let z = r.get_f64("points")?;
-        points.push(Vec2::new(y, z));
-    }
-    Ok(points)
+    r.take(n_points * 16, "points")?;
+    Ok(())
 }
 
 fn read_nodes_section(r: &mut Reader<'_>, expected_rate: usize) -> Result<NodeSet> {
@@ -845,24 +886,66 @@ fn read_train_section(r: &mut Reader<'_>) -> Result<(usize, Vec<f64>, Option<Ada
     Ok((train_len, train_contributions, lineage))
 }
 
-/// Reassembles a model from fully-read section contents.
-#[allow(clippy::too_many_arguments)]
-fn assemble_model(
-    config: S2gConfig,
-    parts: EmbeddingParts,
-    points: Vec<Vec2>,
-    nodes: NodeSet,
-    graph: DiGraph,
-    train_len: usize,
-    train_contributions: Vec<f64>,
-    lineage: Option<AdaptationLineage>,
-) -> Result<Series2Graph> {
+/// Where a decoder finds each section: one reader over the concatenated
+/// payloads of a version-1 body, or the section index of an indexed file.
+enum Sections<'a> {
+    Sequential(Reader<'a>),
+    Indexed(SectionIndex, &'a [u8]),
+}
+
+impl<'a> Sections<'a> {
+    /// Reads the `kind` section with `read`. An indexed section must be
+    /// consumed exactly.
+    fn read<T>(
+        &mut self,
+        kind: SectionKind,
+        read: impl FnOnce(&mut Reader<'a>) -> Result<T>,
+    ) -> Result<T> {
+        match self {
+            Sections::Sequential(r) => read(r),
+            Sections::Indexed(index, body) => {
+                let mut r = Reader::new(index.slice(body, kind)?);
+                let value = read(&mut r)?;
+                r.expect_exhausted(kind.name())?;
+                Ok(value)
+            }
+        }
+    }
+
+    /// Rejects bytes left after the last section of a version-1 body.
+    fn finish(&self) -> Result<()> {
+        match self {
+            Sections::Sequential(r) if !r.is_exhausted() => Err(Error::Format(format!(
+                "{} trailing bytes after the last section",
+                r.bytes.len() - r.pos
+            ))),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// Decodes a model from its sections, verifying and skipping a legacy
+/// points section when `legacy` is set.
+fn decode_sections(mut sections: Sections<'_>, legacy: bool) -> Result<Series2Graph> {
+    let config = sections.read(SectionKind::Config, read_config_section)?;
+    let parts = sections.read(SectionKind::Embedding, read_embedding_section)?;
+    if legacy {
+        sections.read(SectionKind::Points, skip_points_section)?;
+    }
+    let nodes = sections.read(SectionKind::Nodes, |r| read_nodes_section(r, config.rate))?;
+    let graph = sections.read(SectionKind::Graph, |r| {
+        read_graph_section(r, nodes.node_count())
+    })?;
+    let (train_len, train_contributions, lineage) =
+        sections.read(SectionKind::Train, read_train_section)?;
+    sections.finish()?;
+
     let embedding = Embedding::from_parts(
         config.pattern_length,
         config.lambda,
         parts.pca,
         parts.rotation,
-        points,
+        Vec::new(),
         parts.explained_variance_ratio,
     );
     let mut model = Series2Graph::from_parts(
@@ -881,8 +964,8 @@ fn assemble_model(
 // Decoding
 // ---------------------------------------------------------------------------
 
-/// Deserialises a model from the versioned binary format (version 1 or 2),
-/// verifying magic, version and the whole-file checksum before
+/// Deserialises a model from the versioned binary format (version 1, 2 or
+/// 3), verifying magic, version and the whole-file checksum before
 /// reconstructing any part.
 pub fn decode_model(bytes: &[u8]) -> Result<Series2Graph> {
     if bytes.len() < MAGIC.len() + 4 + 8 {
@@ -906,18 +989,14 @@ pub fn decode_model(bytes: &[u8]) -> Result<Series2Graph> {
 
     let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4-byte slice"));
     match version {
-        1 => decode_v1_body(&body[MAGIC.len() + 4..]),
-        2 => {
+        1 => decode_sections(
+            Sections::Sequential(Reader::new(&body[MAGIC.len() + 4..])),
+            true,
+        ),
+        2 | 3 => {
             let index = parse_section_index(body)?;
             index.validate_bounds(bytes.len() as u64)?;
-            decode_model_from_sections(
-                index.slice(body, SectionKind::Config)?,
-                index.slice(body, SectionKind::Embedding)?,
-                index.slice(body, SectionKind::Points)?,
-                index.slice(body, SectionKind::Nodes)?,
-                index.slice(body, SectionKind::Graph)?,
-                index.slice(body, SectionKind::Train)?,
-            )
+            decode_sections(Sections::Indexed(index, body), version == 2)
         }
         v => Err(Error::UnsupportedVersion {
             found: v,
@@ -926,127 +1005,15 @@ pub fn decode_model(bytes: &[u8]) -> Result<Series2Graph> {
     }
 }
 
-/// Decodes the concatenated payloads of a version-1 file (everything after
-/// magic + version, before the trailer).
-fn decode_v1_body(body: &[u8]) -> Result<Series2Graph> {
-    let mut r = Reader::new(body);
-    let config = read_config_section(&mut r)?;
-    let parts = read_embedding_section(&mut r)?;
-    let points = read_points_section(&mut r)?;
-    let nodes = read_nodes_section(&mut r, config.rate)?;
-    let graph = read_graph_section(&mut r, nodes.node_count())?;
-    let (train_len, train_contributions, lineage) = read_train_section(&mut r)?;
-    if !r.is_exhausted() {
-        return Err(Error::Format(format!(
-            "{} trailing bytes after the last section",
-            body.len() - r.pos
-        )));
-    }
-    assemble_model(
-        config,
-        parts,
-        points,
-        nodes,
-        graph,
-        train_len,
-        train_contributions,
-        lineage,
-    )
-}
-
-/// Reassembles a model from its six section payloads, each verified to be
-/// fully consumed. This is the decode path of a lazy reader that fetched
-/// sections independently (e.g. the `s2g-store` model store faulting in
-/// the points section on first score).
-///
-/// # Errors
-/// [`Error::Format`] on any malformed, short or over-long payload.
-pub fn decode_model_from_sections(
-    config: &[u8],
-    embedding: &[u8],
-    points: &[u8],
-    nodes: &[u8],
-    graph: &[u8],
-    train: &[u8],
-) -> Result<Series2Graph> {
-    let mut r = Reader::new(config);
-    let config = read_config_section(&mut r)?;
-    r.expect_exhausted("config")?;
-
-    let mut r = Reader::new(embedding);
-    let parts = read_embedding_section(&mut r)?;
-    r.expect_exhausted("embedding")?;
-
-    let mut r = Reader::new(points);
-    let points = read_points_section(&mut r)?;
-    r.expect_exhausted("points")?;
-
-    let mut r = Reader::new(nodes);
-    let nodes = read_nodes_section(&mut r, config.rate)?;
-    r.expect_exhausted("nodes")?;
-
-    let mut r = Reader::new(graph);
-    let graph = read_graph_section(&mut r, nodes.node_count())?;
-    r.expect_exhausted("graph")?;
-
-    let mut r = Reader::new(train);
-    let (train_len, train_contributions, lineage) = read_train_section(&mut r)?;
-    r.expect_exhausted("train")?;
-
-    assemble_model(
-        config,
-        parts,
-        points,
-        nodes,
-        graph,
-        train_len,
-        train_contributions,
-        lineage,
-    )
-}
-
 // ---------------------------------------------------------------------------
 // Section peeks (metadata without a full decode)
 // ---------------------------------------------------------------------------
 
-/// Decodes just the config section payload (e.g. to learn a stored model's
-/// pattern length without reading the rest of the file).
-///
-/// # Errors
-/// [`Error::Format`] on a malformed payload.
-pub fn decode_config_section(payload: &[u8]) -> Result<S2gConfig> {
-    let mut r = Reader::new(payload);
-    let config = read_config_section(&mut r)?;
-    r.expect_exhausted("config")?;
-    Ok(config)
-}
-
-/// Reads `(node_count, edge_count)` from the head of a graph section
-/// payload without decoding the edges.
-///
-/// # Errors
-/// [`Error::Format`] on a truncated payload.
-pub fn peek_graph_counts(payload: &[u8]) -> Result<(usize, usize)> {
-    let mut r = Reader::new(payload);
-    let node_count = r.get_usize("graph.node_count")?;
-    let edge_count = r.get_usize("graph.edge_count")?;
-    Ok((node_count, edge_count))
-}
-
-/// Reads `train_len` from the head of a train section payload.
-///
-/// # Errors
-/// [`Error::Format`] on a truncated payload.
-pub fn peek_train_len(payload: &[u8]) -> Result<usize> {
-    let mut r = Reader::new(payload);
-    r.get_usize("train.len")
-}
-
 /// Reads the adaptation lineage from a train section payload without
 /// materialising the contributions array: `Ok(None)` for a pristine fit
 /// (no lineage tail), the lineage for an adapted snapshot. This is how a
-/// store answers "is this file adapted, and from what?" from its already
-/// resident small sections.
+/// store answers "is this file adapted, and from what?" from the train
+/// section alone.
 ///
 /// # Errors
 /// [`Error::Format`] on a malformed payload.
@@ -1065,13 +1032,6 @@ pub fn peek_train_lineage(payload: &[u8]) -> Result<Option<AdaptationLineage>> {
     };
     r.expect_exhausted("train")?;
     Ok(Some(lineage))
-}
-
-/// Number of embedded points a points section payload declares, computed
-/// from its index entry alone (each point is 16 bytes after the 8-byte
-/// count).
-pub fn points_len_from_entry(entry: &SectionEntry) -> usize {
-    (entry.len.saturating_sub(8) / 16) as usize
 }
 
 // ---------------------------------------------------------------------------
@@ -1095,16 +1055,55 @@ mod tests {
     use super::*;
     use s2g_timeseries::TimeSeries;
 
-    fn fitted() -> Series2Graph {
+    fn series() -> TimeSeries {
         let values: Vec<f64> = (0..3000)
             .map(|i| (std::f64::consts::TAU * i as f64 / 80.0).sin())
             .collect();
-        Series2Graph::fit(&TimeSeries::from(values), &S2gConfig::new(40)).unwrap()
+        TimeSeries::from(values)
+    }
+
+    fn fitted() -> Series2Graph {
+        Series2Graph::fit(&series(), &S2gConfig::new(40)).unwrap()
+    }
+
+    /// The training trajectory of [`fitted`], as older builds stored it.
+    fn trajectory() -> Vec<Vec2> {
+        Embedding::fit(&series(), &S2gConfig::new(40))
+            .unwrap()
+            .points
+    }
+
+    /// Flips one bit of `kind`'s payload and checks that exactly that
+    /// section fails its independent verification.
+    fn assert_corruption_is_localised(bytes: &[u8], kind: SectionKind) {
+        let index = parse_section_index(bytes).unwrap();
+        let entry = *index.require(kind).unwrap();
+        let mut corrupted = bytes.to_vec();
+        corrupted[entry.offset as usize + entry.len as usize / 2] ^= 0x40;
+        for other in index.entries() {
+            let payload = index.slice(&corrupted, other.kind).unwrap();
+            if other.kind == kind {
+                assert!(
+                    matches!(
+                        verify_section(other, payload),
+                        Err(Error::ChecksumMismatch { .. })
+                    ),
+                    "corrupted {kind} section verified"
+                );
+            } else {
+                verify_section(other, payload).unwrap();
+            }
+        }
+        assert!(matches!(
+            decode_model(&corrupted),
+            Err(Error::ChecksumMismatch { .. })
+        ));
     }
 
     #[test]
     fn encode_decode_preserves_structure() {
         let model = fitted();
+        assert!(model.embedding().points.is_empty());
         let bytes = encode_model(&model);
         let back = decode_model(&bytes).unwrap();
         assert_eq!(back.config().pattern_length, model.config().pattern_length);
@@ -1112,116 +1111,158 @@ mod tests {
         assert_eq!(back.graph().edge_count(), model.graph().edge_count());
         assert_eq!(back.train_len(), model.train_len());
         assert_eq!(back.train_contributions(), model.train_contributions());
-        assert_eq!(
-            back.embedding().points.len(),
-            model.embedding().points.len()
-        );
+        assert!(back.embedding().points.is_empty());
+        assert_eq!(encode_model(&back), bytes);
     }
 
     #[test]
-    fn v1_and_v2_encodings_decode_to_identical_models() {
+    fn legacy_encodings_decode_to_the_current_model() {
         let model = fitted();
-        let v1 = encode_model_v1(&model);
-        let v2 = encode_model(&model);
+        let points = trajectory();
+        let v1 = encode_legacy_model(&model, &points, 1);
+        let v2 = encode_legacy_model(&model, &points, 2);
+        let v3 = encode_model(&model);
         assert_ne!(v1, v2, "the layouts must differ on the wire");
-        let from_v1 = decode_model(&v1).unwrap();
-        let from_v2 = decode_model(&v2).unwrap();
-        // Both decode paths must agree bit-for-bit: re-encoding yields the
-        // same canonical v2 bytes.
-        assert_eq!(encode_model(&from_v1), encode_model(&from_v2));
-        assert_eq!(encode_model(&from_v1), v2);
+        assert_ne!(v2, v3, "the layouts must differ on the wire");
+        // The trajectory was most of a legacy file.
+        assert!(v3.len() + 16 * points.len() < v2.len());
+        // Every decode path agrees bit for bit: re-encoding yields the same
+        // canonical v3 bytes.
+        for legacy in [&v1, &v2] {
+            let back = decode_model(legacy).unwrap();
+            assert!(back.embedding().points.is_empty());
+            assert_eq!(encode_model(&back), v3);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "legacy model formats are versions 1 and 2")]
+    fn legacy_writer_refuses_the_current_version() {
+        encode_legacy_model(&fitted(), &trajectory(), FORMAT_VERSION);
     }
 
     #[test]
     fn section_index_locates_and_verifies_every_section() {
         let model = fitted();
-        let bytes = encode_model(&model);
-        let index = parse_section_index(&bytes).unwrap();
-        assert_eq!(index.entries().len(), 6);
-        index.validate_bounds(bytes.len() as u64).unwrap();
-        let mut end = index.header_len() as u64;
-        for (entry, kind) in index.entries().iter().zip(SectionKind::ALL) {
-            assert_eq!(entry.kind, kind);
-            assert_eq!(entry.offset, end, "sections must be contiguous");
-            end += entry.len;
-            let payload = index.slice(&bytes, kind).unwrap();
-            verify_section(entry, payload).unwrap();
+        let points = trajectory();
+        for (bytes, kinds) in [
+            (encode_model(&model), &SectionKind::CURRENT[..]),
+            (
+                encode_legacy_model(&model, &points, 2),
+                &SectionKind::ALL[..],
+            ),
+        ] {
+            let index = parse_section_index(&bytes).unwrap();
+            assert_eq!(index.entries().len(), kinds.len());
+            index.validate_bounds(bytes.len() as u64).unwrap();
+            let mut end = index.header_len() as u64;
+            for (entry, &kind) in index.entries().iter().zip(kinds) {
+                assert_eq!(entry.kind, kind);
+                assert_eq!(entry.offset, end, "sections must be contiguous");
+                end += entry.len;
+                let payload = index.slice(&bytes, kind).unwrap();
+                verify_section(entry, payload).unwrap();
+            }
+            assert_eq!(end as usize, bytes.len() - 8, "payloads end at the trailer");
         }
-        assert_eq!(end as usize, bytes.len() - 8, "payloads end at the trailer");
-        // The points section dominates and its length is derivable from the
-        // index entry alone.
-        let points = index.get(SectionKind::Points).unwrap();
+        // A v3 file has no points section; a v2 file's holds the trajectory.
+        let v3 = parse_section_index(&encode_model(&model)).unwrap();
+        assert!(v3.get(SectionKind::Points).is_none());
+        let v2 = parse_section_index(&encode_legacy_model(&model, &points, 2)).unwrap();
         assert_eq!(
-            points_len_from_entry(points),
-            model.embedding().points.len()
+            v2.require(SectionKind::Points).unwrap().len,
+            8 + 16 * points.len() as u64
         );
-        // Peeks agree with the model.
-        let graph_payload = index.slice(&bytes, SectionKind::Graph).unwrap();
+    }
+
+    #[test]
+    fn indexes_must_list_exactly_their_versions_sections() {
+        let model = fitted();
+        let v2 = encode_legacy_model(&model, &trajectory(), 2);
+        // A v2 index relabelled as v3 carries a points section v3 lacks.
+        let mut relabelled = v2[..FIXED_HEADER_LEN + 6 * INDEX_ENTRY_LEN].to_vec();
+        relabelled[8] = 3;
+        assert!(matches!(
+            parse_section_index(&relabelled),
+            Err(Error::Format(m)) if m.contains("points")
+        ));
+        // A v3 index relabelled as v2 lacks the points section.
+        let v3 = encode_model(&model);
+        let mut relabelled = v3[..FIXED_HEADER_LEN + 5 * INDEX_ENTRY_LEN].to_vec();
+        relabelled[8] = 2;
+        assert!(matches!(
+            parse_section_index(&relabelled),
+            Err(Error::Format(m)) if m.contains("points")
+        ));
+    }
+
+    #[test]
+    fn legacy_points_sections_are_verified_then_skipped() {
+        let model = fitted();
+        let points = trajectory();
+        let v2 = encode_legacy_model(&model, &points, 2);
+        let index = parse_section_index(&v2).unwrap();
+        let entry = *index.require(SectionKind::Points).unwrap();
+        // Overstate the point count and re-seal the trailer, so only the
+        // structural check on the skipped section can fire.
+        let mut bad = v2.clone();
+        let at = entry.offset as usize;
+        bad[at..at + 8].copy_from_slice(&(points.len() as u64 + 1).to_le_bytes());
+        let body_len = bad.len() - 8;
+        let checksum = fnv1a(&bad[..body_len]);
+        bad[body_len..].copy_from_slice(&checksum.to_le_bytes());
+        assert!(matches!(decode_model(&bad), Err(Error::Format(_))));
+        // The same in a v1 body.
+        let v1 = encode_legacy_model(&model, &points, 1);
+        let mut bad = v1.clone();
+        let at = MAGIC.len()
+            + 4
+            + index.require(SectionKind::Config).unwrap().len as usize
+            + index.require(SectionKind::Embedding).unwrap().len as usize;
         assert_eq!(
-            peek_graph_counts(graph_payload).unwrap(),
-            (model.node_count(), model.graph().edge_count())
+            bad[at..at + 8],
+            (points.len() as u64).to_le_bytes(),
+            "v1 points count located"
         );
-        let train_payload = index.slice(&bytes, SectionKind::Train).unwrap();
-        assert_eq!(peek_train_len(train_payload).unwrap(), model.train_len());
-        let config_payload = index.slice(&bytes, SectionKind::Config).unwrap();
-        assert_eq!(
-            decode_config_section(config_payload)
-                .unwrap()
-                .pattern_length,
-            model.pattern_length()
-        );
+        bad[at..at + 8].copy_from_slice(&(points.len() as u64 - 1).to_le_bytes());
+        let body_len = bad.len() - 8;
+        let checksum = fnv1a(&bad[..body_len]);
+        bad[body_len..].copy_from_slice(&checksum.to_le_bytes());
+        assert!(decode_model(&bad).is_err());
     }
 
     #[test]
     fn read_header_reads_only_the_header() {
         let model = fitted();
-        let bytes = encode_model(&model);
-        let index = parse_section_index(&bytes).unwrap();
-        // A reader over *only* the header bytes suffices.
-        let mut head = &bytes[..index.header_len()];
-        let (version, parsed) = read_header(&mut head).unwrap();
-        assert_eq!(version, 2);
-        assert_eq!(parsed.unwrap(), index);
+        let points = trajectory();
+        for (bytes, version) in [
+            (encode_model(&model), FORMAT_VERSION),
+            (encode_legacy_model(&model, &points, 2), 2),
+        ] {
+            let index = parse_section_index(&bytes).unwrap();
+            // A reader over *only* the header bytes suffices.
+            let mut head = &bytes[..index.header_len()];
+            let (read_version, parsed) = read_header(&mut head).unwrap();
+            assert_eq!(read_version, version);
+            assert_eq!(parsed.unwrap(), index);
+        }
         // v1 files report no index.
-        let v1 = encode_model_v1(&model);
+        let v1 = encode_legacy_model(&model, &points, 1);
         let (version, parsed) = read_header(&mut &v1[..]).unwrap();
         assert_eq!(version, 1);
         assert!(parsed.is_none());
     }
 
     #[test]
-    fn decode_from_sections_matches_full_decode() {
-        let model = fitted();
-        let bytes = encode_model(&model);
-        let index = parse_section_index(&bytes).unwrap();
-        let take = |kind| index.slice(&bytes, kind).unwrap();
-        let assembled = decode_model_from_sections(
-            take(SectionKind::Config),
-            take(SectionKind::Embedding),
-            take(SectionKind::Points),
-            take(SectionKind::Nodes),
-            take(SectionKind::Graph),
-            take(SectionKind::Train),
-        )
-        .unwrap();
-        assert_eq!(encode_model(&assembled), bytes);
-    }
-
-    #[test]
     fn corrupted_sections_fail_independent_verification() {
         let model = fitted();
-        let mut bytes = encode_model(&model);
-        let index = parse_section_index(&bytes).unwrap();
-        let entry = *index.require(SectionKind::Points).unwrap();
-        bytes[entry.offset as usize + 10] ^= 0x40;
-        let payload = index.slice(&bytes, SectionKind::Points).unwrap();
-        assert!(matches!(
-            verify_section(&entry, payload),
-            Err(Error::ChecksumMismatch { .. })
-        ));
-        // Other sections still verify: the damage is localised.
-        let graph = index.require(SectionKind::Graph).unwrap();
-        verify_section(graph, index.slice(&bytes, SectionKind::Graph).unwrap()).unwrap();
+        let v3 = encode_model(&model);
+        for kind in SectionKind::CURRENT {
+            assert_corruption_is_localised(&v3, kind);
+        }
+        // A v2 file's points section verifies on its own as well.
+        let v2 = encode_legacy_model(&model, &trajectory(), 2);
+        assert_corruption_is_localised(&v2, SectionKind::Points);
     }
 
     #[test]
@@ -1264,13 +1305,15 @@ mod tests {
             .unwrap();
         assert!(peek_train_lineage(pristine_train).unwrap().is_none());
 
-        // The v1 layout carries the lineage too.
-        let v1 = encode_model_v1(&adapted);
-        assert_eq!(
-            decode_model(&v1).unwrap().lineage(),
-            back.lineage(),
-            "v1 round-trip must preserve lineage"
-        );
+        // The legacy layouts carry the lineage too.
+        for version in [1, 2] {
+            let legacy = encode_legacy_model(&adapted, &trajectory(), version);
+            assert_eq!(
+                decode_model(&legacy).unwrap().lineage(),
+                back.lineage(),
+                "v{version} round-trip must preserve lineage"
+            );
+        }
     }
 
     #[test]
@@ -1342,7 +1385,12 @@ mod tests {
     #[test]
     fn truncation_is_rejected_everywhere() {
         let model = fitted();
-        for bytes in [encode_model(&model), encode_model_v1(&model)] {
+        let points = trajectory();
+        for bytes in [
+            encode_model(&model),
+            encode_legacy_model(&model, &points, 2),
+            encode_legacy_model(&model, &points, 1),
+        ] {
             // Every prefix must fail cleanly — never panic, never succeed.
             for cut in [
                 0,

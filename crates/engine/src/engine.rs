@@ -720,8 +720,8 @@ impl Engine {
     /// Adaptation lineage of the model registered under `name`: `Some`
     /// for an adapted snapshot, `None` for a pristine fit or an unknown
     /// name. Falls back to the mounted store for models that are persisted
-    /// but not loaded; never bumps registry recency and never faults in a
-    /// stored model's payload.
+    /// but not loaded; never bumps registry recency and never decodes a
+    /// stored model.
     pub fn model_lineage(&self, name: &str) -> Option<AdaptationLineage> {
         if let Some(model) = self.registry.peek(name) {
             return model.lineage().copied();

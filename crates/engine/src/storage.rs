@@ -6,8 +6,9 @@
 //! receives every successful fit (*save-on-fit*), answers registry misses
 //! (*load-through*) and mirrors removals (*delete-through*). The `s2g-store`
 //! crate provides the production implementation — a directory-backed,
-//! crash-safe store with lazy section loading; tests can plug in anything
-//! that satisfies the trait.
+//! crash-safe store that holds no models in memory (the engine's registry
+//! is the model cache); tests can plug in anything that satisfies the
+//! trait.
 
 use std::sync::Arc;
 
@@ -17,13 +18,13 @@ use crate::error::Result;
 
 /// Metadata of one persisted model, as reported by [`ModelStorage::list`]
 /// and [`ModelStorage::meta`]. Everything here is readable from a model
-/// file's header and small sections — no points payload required — which is
-/// what keeps store listings O(models), not O(bytes).
+/// file's header and its config, graph and train sections, without a full
+/// decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoredModelMeta {
     /// Model name (also the store file stem).
     pub name: String,
-    /// `S2GMDL` format version of the file (1 or 2).
+    /// `S2GMDL` format version of the file (1, 2 or 3).
     pub version: u32,
     /// Total file length in bytes.
     pub file_len: u64,
@@ -40,11 +41,6 @@ pub struct StoredModelMeta {
     pub edge_count: usize,
     /// Length of the series the model was fitted on.
     pub train_len: usize,
-    /// Number of embedded training points (the lazily-loaded section).
-    pub points_len: usize,
-    /// Byte size of the points section — the residency cost of keeping
-    /// this model's lazy section in memory.
-    pub points_bytes: u64,
 }
 
 /// Write-availability mode of a durable store.
@@ -53,7 +49,7 @@ pub enum StoreMode {
     /// Normal operation: reads and writes accepted.
     ReadWrite,
     /// Read-only after a persistent disk fault (ENOSPC/EIO): loads and
-    /// resident models keep serving, saves and removals answer
+    /// registered models keep serving, saves and removals answer
     /// [`crate::Error::StoreDegraded`] until the backend's recovery probe
     /// re-arms writes.
     Degraded,
@@ -98,8 +94,8 @@ pub trait ModelStorage: Send + Sync + std::fmt::Debug {
     /// Adaptation lineage of the model stored under `name`: `Some` when
     /// the stored file is an adapted snapshot, `None` for a pristine fit,
     /// an unknown name, or a backend that does not track lineage (the
-    /// default). Implementations should answer this from small sections
-    /// without touching the points payload.
+    /// default). Implementations should answer this from the train section
+    /// without decoding the whole model.
     fn lineage(&self, name: &str) -> Option<AdaptationLineage> {
         let _ = name;
         None
@@ -117,18 +113,6 @@ pub trait ModelStorage: Send + Sync + std::fmt::Debug {
 
     /// Number of models currently persisted.
     fn stored(&self) -> usize;
-
-    /// Bytes of lazily-loaded sections currently resident in memory.
-    fn resident_bytes(&self) -> u64;
-
-    /// Cumulative count of residency evictions: how many times a model's
-    /// lazy section was dropped from memory to enforce a residency
-    /// budget. `0` for backends without a budget (the default). Exported
-    /// by the serving layer as the `s2g_store_residency_evictions_total`
-    /// counter.
-    fn residency_evictions(&self) -> u64 {
-        0
-    }
 
     /// Current write-availability mode. Backends without degraded-mode
     /// handling are always [`StoreMode::ReadWrite`] (the default).

@@ -63,8 +63,6 @@ impl ModelStorage for MemStorage {
             node_count: model.node_count(),
             edge_count: model.graph().edge_count(),
             train_len: model.train_len(),
-            points_len: model.embedding().points.len(),
-            points_bytes: 0,
         })
     }
 
@@ -83,10 +81,6 @@ impl ModelStorage for MemStorage {
 
     fn stored(&self) -> usize {
         self.files.lock().unwrap().len()
-    }
-
-    fn resident_bytes(&self) -> u64 {
-        0
     }
 }
 

@@ -9,10 +9,12 @@
 //! * an adaptive (λ > 0) streaming session emits bit-identical results
 //!   whether or not concurrent batch work is hammering the same pool;
 //! * fitted models encode byte-identically to the pre-stealing seed build
-//!   (golden trailer checksums captured from the seed binary).
+//!   (golden v2 trailer checksums captured from the seed binary), and to
+//!   pinned format-v3 checksums.
 
 use std::sync::Arc;
 
+use s2g_core::embedding::Embedding;
 use s2g_core::{S2gConfig, Series2Graph};
 use s2g_engine::{codec, AdaptConfig, Engine, EngineConfig, ScoreJob, WorkerPool};
 use s2g_timeseries::TimeSeries;
@@ -213,25 +215,38 @@ fn fitted_models_encode_byte_identical_to_seed() {
     // Captured from the seed build (PR 4 head) via
     // `s2g fit --pattern-length 50` / `--pattern-length 64 --lambda 16
     // --no-smooth` on the golden series: last 8 bytes (LE) of the encoded
-    // model, i.e. `codec::model_checksum`.
+    // model. The seed wrote format v2, which also stored the training
+    // trajectory; the legacy writer re-creates that file from the fitted
+    // model plus the trajectory `Embedding::fit` returns.
     const GOLDEN_L50: u64 = 0x957afd91a77f0c6c;
     const GOLDEN_L64: u64 = 0x67a40ffe0f65794a;
+    // The same two fits in format v3 (no trajectory): `codec::model_checksum`.
+    const GOLDEN_V3_L50: u64 = 0x01bb001571cfdabf;
+    const GOLDEN_V3_L64: u64 = 0xc0191c4e81fdfcbd;
 
     let series = golden_series();
-    let l50 = Series2Graph::fit(&series, &S2gConfig::new(50)).unwrap();
-    assert_eq!(
-        codec::model_checksum(&l50),
-        GOLDEN_L50,
-        "ℓ=50 fit no longer encodes byte-identically to the seed"
-    );
-    let l64 = Series2Graph::fit(
-        &series,
-        &S2gConfig::new(64).with_lambda(16).with_smoothing(false),
-    )
-    .unwrap();
-    assert_eq!(
-        codec::model_checksum(&l64),
-        GOLDEN_L64,
-        "ℓ=64 fit no longer encodes byte-identically to the seed"
-    );
+    let fits = [
+        (S2gConfig::new(50), GOLDEN_L50, GOLDEN_V3_L50, "ℓ=50"),
+        (
+            S2gConfig::new(64).with_lambda(16).with_smoothing(false),
+            GOLDEN_L64,
+            GOLDEN_V3_L64,
+            "ℓ=64",
+        ),
+    ];
+    for (config, golden_v2, golden_v3, label) in fits {
+        let model = Series2Graph::fit(&series, &config).unwrap();
+        let trajectory = Embedding::fit(&series, &config).unwrap().points;
+        let v2 = codec::encode_legacy_model(&model, &trajectory, 2);
+        assert_eq!(
+            codec::checksum_trailer(&v2),
+            golden_v2,
+            "{label} fit no longer encodes byte-identically to the seed"
+        );
+        assert_eq!(
+            codec::model_checksum(&model),
+            golden_v3,
+            "{label} fit no longer encodes to its pinned v3 checksum"
+        );
+    }
 }

@@ -53,7 +53,7 @@ use std::time::Duration;
 pub const NAMES: &[&str] = &[
     // Store `atomic_write` (model save / manifest write) fails ENOSPC.
     "store.write.enospc",
-    // Store section fault (lazy points read) fails EIO.
+    // Store model load (whole-file read) fails EIO.
     "store.read.eio",
     // Pool task execution panics mid-compute.
     "pool.task.panic",

@@ -20,7 +20,7 @@ use std::time::Duration;
 
 use s2g_engine::cli::{CliError, ParsedArgs};
 use s2g_engine::EngineConfig;
-use s2g_store::{ModelStore, StoreConfig, StoredModelMeta};
+use s2g_store::{ModelStore, StoredModelMeta};
 use s2g_timeseries::{io as ts_io, window};
 
 use crate::client::{Client, ClientError};
@@ -55,7 +55,7 @@ USAGE — serving (over TCP, protocol in docs/PROTOCOL.md):
     s2g serve  [--addr <host:port>] [--workers <n>] [--registry-capacity <n>]
                [--max-clients <n>] [--max-body-bytes <n>]
                [--session-idle-secs <n>] [--data-dir <dir>]
-               [--store-budget-mb <n>] [--log-level <error|warn|info|debug>]
+               [--log-level <error|warn|info|debug>]
                [--log-json] [--slow-request-ms <n>]
                [--sample-interval-ms <n>] [--history-retention <n>]
                [--watch-warmup <n>] [--trace-ring <n>] [--slow-ring <n>]
@@ -169,7 +169,6 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
             "--max-body-bytes",
             "--session-idle-secs",
             "--data-dir",
-            "--store-budget-mb",
             "--log-level",
             "--slow-request-ms",
             "--sample-interval-ms",
@@ -205,9 +204,6 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     }
     if let Some(data_dir) = args.get("--data-dir") {
         config = config.with_data_dir(data_dir);
-    }
-    if let Some(budget_mb) = opt_usize(&args, "--store-budget-mb")? {
-        config = config.with_store_budget_bytes(budget_mb as u64 * 1024 * 1024);
     }
     if let Some(level) = args.get("--log-level") {
         let level = s2g_obs::Level::parse(level).ok_or_else(|| {
@@ -649,8 +645,6 @@ fn stored_meta_json(meta: &StoredModelMeta) -> Json {
         ("node_count", Json::from(meta.node_count)),
         ("edge_count", Json::from(meta.edge_count)),
         ("train_len", Json::from(meta.train_len)),
-        ("points_len", Json::from(meta.points_len)),
-        ("points_bytes", Json::from(meta.points_bytes as usize)),
     ])
 }
 
@@ -662,7 +656,7 @@ fn cmd_store(args: &[String]) -> Result<(), CliError> {
     };
     let parsed = ParsedArgs::parse(rest, &["--data-dir"], &["--json"])?;
     let dir = parsed.required("--data-dir")?;
-    let store = ModelStore::open(dir, StoreConfig::default()).map_err(runtime)?;
+    let store = ModelStore::open(dir).map_err(runtime)?;
     match action.as_str() {
         "ls" => {
             let metas = store.list();

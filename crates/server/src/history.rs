@@ -20,8 +20,6 @@ use crate::server::{Shared, EXTERNAL_ROUTES, INTERNAL_ROUTES};
 const GAUGE_NAMES: &[&str] = &[
     "s2g_models_registered",
     "s2g_models_stored",
-    "s2g_store_resident_bytes",
-    "s2g_store_residency_evictions_total",
     "s2g_sessions_open",
     "s2g_workers",
     "s2g_pool_queue_depth_total",
@@ -60,14 +58,6 @@ pub(crate) fn sampled_gauges(shared: &Shared) -> Vec<(&'static str, u64)> {
         (
             "s2g_models_stored",
             storage.map_or(0, |s| s.stored()) as u64,
-        ),
-        (
-            "s2g_store_resident_bytes",
-            storage.map_or(0, |s| s.resident_bytes()),
-        ),
-        (
-            "s2g_store_residency_evictions_total",
-            storage.map_or(0, |s| s.residency_evictions()),
         ),
         ("s2g_sessions_open", shared.sessions.len() as u64),
         ("s2g_workers", shared.engine.workers() as u64),

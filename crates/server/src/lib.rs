@@ -15,11 +15,11 @@
 //! | `DELETE /models/{name}` | unregister |
 //! | `POST /models/{name}/score` | batch-score series, submission-ordered |
 //! | `POST /sessions`, `POST /sessions/{id}/push`, `DELETE /sessions/{id}` | pinned streaming sessions with idle eviction |
-//! | `GET /healthz`, `POST /admin/shutdown` | status (uptime, residency, model counts), remote stop |
+//! | `GET /healthz`, `POST /admin/shutdown` | status (uptime, persistence, model counts), remote stop |
 //!
 //! With [`ServerConfig::data_dir`] set, the engine mounts an `s2g-store`
 //! model store: fitted models persist across restarts (save-on-fit,
-//! manifest preload, lazy load-through on first score) and `DELETE`
+//! manifest preload, load-through on first score) and `DELETE`
 //! removes the stored file too. See `docs/STORAGE.md`.
 //!
 //! The wire contract — framing, error codes, worked byte-level example —
@@ -93,4 +93,4 @@ pub use sessions::SessionTable;
 pub use s2g_engine::{Engine, EngineConfig};
 // Re-exported so embedders can mount / inspect the durable model store
 // without a direct s2g-store dependency.
-pub use s2g_store::{ModelStore, StoreConfig};
+pub use s2g_store::ModelStore;

@@ -3,7 +3,7 @@
 //!
 //! The format is the Prometheus text exposition subset — `name{labels} value`
 //! lines — so any scraper (or `grep`) can consume it. Counters are
-//! monotonic over the life of the process; gauges (sessions, residency)
+//! monotonic over the life of the process; gauges (sessions, models, store)
 //! are sampled at scrape time from the live engine.
 //!
 //! Request counting is **wait-free**: the route patterns and status codes

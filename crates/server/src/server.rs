@@ -31,7 +31,7 @@ use s2g_obs::journal::{
     self, Journal, JournalConfig, JournalEvent, JournalThread, LogEvent, PanicEvent, TraceEvent,
 };
 use s2g_obs::{FinishedTrace, HistogramSnapshot, Obs, Recorder, SpanCtx, TraceId, TraceScope};
-use s2g_store::{ModelStore, StoreConfig};
+use s2g_store::ModelStore;
 use s2g_timeseries::io as ts_io;
 
 use crate::csv;
@@ -107,9 +107,6 @@ pub struct ServerConfig {
     /// (preload), every fit is persisted, and deletes remove the stored
     /// file too. `None` keeps the engine memory-only.
     pub data_dir: Option<PathBuf>,
-    /// Residency budget of the mounted store in bytes (`0` = unbounded);
-    /// only meaningful with `data_dir`.
-    pub store_budget_bytes: u64,
     /// Process-wide log verbosity (`serve --log-level`).
     pub log_level: s2g_obs::Level,
     /// Emit JSON log lines instead of the human format
@@ -178,7 +175,6 @@ impl Default for ServerConfig {
             session_idle: Some(Duration::from_secs(300)),
             read_timeout: Duration::from_secs(30),
             data_dir: None,
-            store_budget_bytes: 0,
             log_level: s2g_obs::Level::Info,
             log_json: false,
             slow_request_ms: None,
@@ -232,12 +228,6 @@ impl ServerConfig {
     /// [`ServerConfig::data_dir`]).
     pub fn with_data_dir(mut self, data_dir: impl Into<PathBuf>) -> Self {
         self.data_dir = Some(data_dir.into());
-        self
-    }
-
-    /// Sets the store residency budget in bytes (`0` = unbounded).
-    pub fn with_store_budget_bytes(mut self, bytes: u64) -> Self {
-        self.store_budget_bytes = bytes;
         self
     }
 
@@ -618,8 +608,8 @@ impl Server {
     /// Binds the listener and builds the engine, without serving yet. When
     /// [`ServerConfig::data_dir`] is set, the durable model store is
     /// mounted first: every model already persisted there is immediately
-    /// servable (listing from the manifest, payloads faulted in lazily on
-    /// first score) — restart durability without refitting.
+    /// servable (listing from the manifest, each model loaded on its first
+    /// score) — restart durability without refitting.
     ///
     /// # Errors
     /// Propagates socket bind errors and store-mount failures.
@@ -643,11 +633,7 @@ impl Server {
         let mut engine = Engine::new(config.engine);
         engine.attach_obs(Arc::clone(&obs));
         if let Some(data_dir) = &config.data_dir {
-            let store = ModelStore::open(
-                data_dir,
-                StoreConfig::default().with_resident_budget_bytes(config.store_budget_bytes),
-            )
-            .map_err(io::Error::other)?;
+            let store = ModelStore::open(data_dir).map_err(io::Error::other)?;
             store.attach_obs(Arc::clone(&obs));
             s2g_obs::info!(
                 "server",
@@ -1797,7 +1783,7 @@ fn handle_debug_slow(shared: &Shared) -> Result<Response, ApiError> {
 
 fn handle_healthz(shared: &Shared) -> Result<Response, ApiError> {
     // The original liveness fields keep their names and meanings; the
-    // status payload grew around them (uptime, persistence, residency).
+    // status payload grew around them (uptime, persistence, store mode).
     let storage = shared.engine.storage();
     let body = Json::obj([
         ("status", Json::from("ok")),
@@ -1818,10 +1804,6 @@ fn handle_healthz(shared: &Shared) -> Result<Response, ApiError> {
         (
             "stored_models",
             Json::from(storage.map_or(0, |s| s.stored())),
-        ),
-        (
-            "resident_bytes",
-            Json::from(storage.map_or(0, |s| s.resident_bytes()) as usize),
         ),
         (
             "watch",

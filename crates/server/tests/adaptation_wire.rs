@@ -212,7 +212,6 @@ fn adaptive_session_tracks_drift_frozen_stays_bit_identical_and_restart_keeps_li
             "s2g_sessions_open 0",
             "s2g_models_registered 1",
             "s2g_models_stored 1",
-            "s2g_store_resident_bytes",
             "s2g_adapt_refits_total",
             "s2g_adapt_published_total",
         ] {

@@ -196,8 +196,6 @@ fn metrics_json_golden_shape() {
     for name in [
         "s2g_models_registered",
         "s2g_models_stored",
-        "s2g_store_resident_bytes",
-        "s2g_store_residency_evictions_total",
         "s2g_sessions_open",
         "s2g_workers",
         "s2g_pool_queue_depth_total",

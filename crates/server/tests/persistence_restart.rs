@@ -1,12 +1,13 @@
 //! Restart-durability acceptance test for `serve --data-dir`: models
 //! fitted over the wire survive a full server shutdown + restart on the
 //! same directory — same checksums, bit-identical scores, no refitting —
-//! and keep working under a lazy-load residency budget smaller than the
-//! total embedding bytes.
+//! and keep working when the engine's registry, the only model cache,
+//! holds fewer models than the store.
 
 use std::path::PathBuf;
 use std::thread;
 
+use s2g_engine::EngineConfig;
 use s2g_server::{Client, Json, Server, ServerConfig, ShutdownHandle};
 
 fn test_dir(name: &str) -> PathBuf {
@@ -111,9 +112,9 @@ fn models_survive_restart_with_equal_checksums_and_bit_identical_scores() {
             );
         }
     }
-    // Scoring faulted sections in: residency is now visible in /healthz.
+    // Scoring loaded the models through into the registry.
     let health = client.health().unwrap();
-    assert!(health.get("resident_bytes").unwrap().as_usize().unwrap() > 0);
+    assert_eq!(health.get("models").unwrap().as_usize(), Some(3));
 
     // Streaming sessions load through the store too.
     let session = client.open_session("m1", 160).unwrap();
@@ -141,8 +142,18 @@ fn models_survive_restart_with_equal_checksums_and_bit_identical_scores() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The value of the `/metrics` line that starts with `name `.
+fn metric(client: &Client, name: &str) -> u64 {
+    let lines = client.metrics().unwrap();
+    let line = lines
+        .iter()
+        .find(|line| line.starts_with(&format!("{name} ")))
+        .unwrap_or_else(|| panic!("/metrics lacks {name}"));
+    line.split(' ').nth(1).unwrap().parse().unwrap()
+}
+
 #[test]
-fn restart_scores_under_a_residency_budget_smaller_than_total_points() {
+fn restart_scores_with_a_registry_smaller_than_the_store() {
     let dir = test_dir("budget");
     let probe_series = probe(600, 60.0);
 
@@ -168,13 +179,12 @@ fn restart_scores_under_a_residency_budget_smaller_than_total_points() {
     handle.shutdown();
     server_thread.join().unwrap();
 
-    // Each model's points section is ~(2000-40+1)×16B ≈ 31 KiB; 40 KiB
-    // holds one model but not both, so serving both forces evictions.
-    let budget = 40 * 1024;
+    // A one-model registry: scoring the two models alternately evicts the
+    // other each time, so every score reloads its model from the store.
     let (addr, handle, server_thread) = start(
         ServerConfig::default()
             .with_data_dir(&dir)
-            .with_store_budget_bytes(budget),
+            .with_engine(EngineConfig::default().with_registry_capacity(1)),
     );
     let client = Client::new(addr);
     for round in 0..2 {
@@ -187,14 +197,15 @@ fn restart_scores_under_a_residency_budget_smaller_than_total_points() {
             for (e, g) in expected.iter().zip(&scores) {
                 assert_eq!(e.to_bits(), g.to_bits(), "b{i} round {round}");
             }
-            let health = client.health().unwrap();
-            let resident = health.get("resident_bytes").unwrap().as_usize().unwrap();
-            assert!(
-                resident as u64 <= budget,
-                "resident {resident} exceeds budget {budget}"
-            );
+            let registered = metric(&client, "s2g_models_registered");
+            assert!(registered <= 1, "{registered} models registered");
         }
     }
+    assert_eq!(
+        metric(&client, "s2g_store_fault_ns_count"),
+        4,
+        "each of the four scores reloads its model"
+    );
     handle.shutdown();
     server_thread.join().unwrap();
     std::fs::remove_dir_all(&dir).ok();

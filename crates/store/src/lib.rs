@@ -1,28 +1,27 @@
-//! # s2g-store — durable, lazily-loaded model store
+//! # s2g-store — durable model store
 //!
 //! The persistence layer under the Series2Graph serving stack: where
 //! [`s2g_engine`] keeps fitted models in memory, this crate keeps them in a
-//! **directory** — crash-safely — and hands them back section by section,
-//! so a registry of hundreds of models keeps only its hot data resident.
+//! **directory**, crash-safely, and reads one back whole when the engine
+//! asks for it.
 //!
 //! * [`ModelStore`] — a directory of `S2GMDL` files plus a `MANIFEST` for
 //!   O(1) startup listing. Writes are atomic (temp file + fsync + rename +
 //!   directory fsync); a crash at any instant leaves the previous version
 //!   intact, and leftover temp files are ignored on startup.
-//! * **Lazy loading** — format v2 files carry a seekable section index
-//!   with per-section checksums (see [`s2g_engine::codec`]), so the store
-//!   opens a model's small sections eagerly and faults in the dominant
-//!   embedding-points section only on first [`ModelStore::get`]. An LRU
-//!   residency budget ([`StoreConfig::resident_budget_bytes`]) drops cold
-//!   models back to disk.
+//! * **No second cache** — [`ModelStore::get`] reads and decodes the whole
+//!   file (see [`s2g_engine::codec`]) and keeps nothing; the engine's
+//!   registry, bounded by its capacity, is the only model cache. Metadata
+//!   reads ([`ModelStore::lineage`]) use the section index to read one
+//!   section.
 //! * **Engine mount** — [`ModelStore`] implements
 //!   [`s2g_engine::ModelStorage`], so an [`s2g_engine::Engine`] (and the
 //!   `s2g serve --data-dir` server above it) gets save-on-fit,
 //!   load-through and delete-through by attaching the store at startup.
 //! * **Operations** — [`ModelStore::verify`] (full checksums),
 //!   [`ModelStore::gc`] (reap crash debris), [`ModelStore::migrate`]
-//!   (rewrite legacy v1 files in the sectioned format), surfaced as the
-//!   `s2g store {ls,verify,gc,migrate}` subcommands.
+//!   (rewrite legacy v1 and v2 files in the current format), surfaced as
+//!   the `s2g store {ls,verify,gc,migrate}` subcommands.
 //!
 //! The on-disk contract is specified in `docs/STORAGE.md`.
 //!
@@ -31,7 +30,7 @@
 //! ```
 //! use std::sync::Arc;
 //! use s2g_core::{S2gConfig, Series2Graph};
-//! use s2g_store::{ModelStore, StoreConfig};
+//! use s2g_store::ModelStore;
 //! use s2g_timeseries::TimeSeries;
 //!
 //! let dir = std::env::temp_dir().join(format!("s2g_store_doc_{}", std::process::id()));
@@ -44,13 +43,13 @@
 //! let expected = model.anomaly_scores(&series, 100).unwrap();
 //!
 //! // First process: persist on fit.
-//! let store = ModelStore::open(&dir, StoreConfig::default()).unwrap();
+//! let store = ModelStore::open(&dir).unwrap();
 //! store.put("line-7", &model).unwrap();
 //! drop(store);
 //!
 //! // Second process: mount the same directory; the model is listed from
-//! // the manifest and materialised lazily on first use.
-//! let store = ModelStore::open(&dir, StoreConfig::default()).unwrap();
+//! // the manifest and read back on first use.
+//! let store = ModelStore::open(&dir).unwrap();
 //! assert_eq!(store.list()[0].name, "line-7");
 //! let restored = store.get("line-7").unwrap();
 //! let scores = restored.anomaly_scores(&series, 100).unwrap();
@@ -64,7 +63,7 @@
 pub mod manifest;
 pub mod store;
 
-pub use store::{GcReport, MigrateReport, ModelStore, StoreConfig, VerifyReport};
+pub use store::{GcReport, MigrateReport, ModelStore, VerifyReport};
 
 // Re-exported so store embedders see the trait the engine mounts it by.
 pub use s2g_engine::storage::{ModelStorage, StoreMode, StoredModelMeta};

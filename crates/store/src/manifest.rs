@@ -5,8 +5,8 @@
 //! preceded by a format header) holding exactly the per-model metadata of
 //! [`StoredModelMeta`]. On startup the store trusts a manifest line only
 //! when the named file exists with the recorded length; anything else is
-//! re-derived from the file's own header, and a missing or corrupt manifest
-//! degrades to a full rescan instead of an error. The manifest itself is
+//! re-derived from the file itself, and a missing, corrupt or older-format
+//! manifest degrades to a full rescan instead of an error. The manifest itself is
 //! rewritten atomically (temp file + fsync + rename) after every mutation,
 //! so a crash can never leave a torn listing.
 
@@ -17,8 +17,10 @@ use s2g_engine::storage::StoredModelMeta;
 pub const MANIFEST_FILE: &str = "MANIFEST";
 
 /// First line of every manifest; bump the trailing number to change the
-/// line format.
-const HEADER: &str = "s2g-store-manifest 1";
+/// line format. Version 1 lines had two more columns (the size of the
+/// training trajectory, which models no longer carry); such a manifest
+/// fails to decode and the store rescans.
+const HEADER: &str = "s2g-store-manifest 2";
 
 /// Serialises metadata into manifest text (header + one line per model).
 pub fn encode(entries: &[StoredModelMeta]) -> String {
@@ -27,7 +29,7 @@ pub fn encode(entries: &[StoredModelMeta]) -> String {
     out.push('\n');
     for m in entries {
         out.push_str(&format!(
-            "{}\t{}\t{}\t{:016x}\t{}\t{}\t{}\t{}\t{}\t{}\n",
+            "{}\t{}\t{}\t{:016x}\t{}\t{}\t{}\t{}\n",
             m.name,
             m.version,
             m.file_len,
@@ -36,8 +38,6 @@ pub fn encode(entries: &[StoredModelMeta]) -> String {
             m.node_count,
             m.edge_count,
             m.train_len,
-            m.points_len,
-            m.points_bytes,
         ));
     }
     out
@@ -64,10 +64,10 @@ pub fn decode(text: &str) -> Result<Vec<StoredModelMeta>> {
             continue;
         }
         let fields: Vec<&str> = line.split('\t').collect();
-        let [name, version, file_len, checksum, pattern_length, node_count, edge_count, train_len, points_len, points_bytes] =
+        let [name, version, file_len, checksum, pattern_length, node_count, edge_count, train_len] =
             fields.as_slice()
         else {
-            return Err(malformed(lineno, "expected 10 tab-separated fields"));
+            return Err(malformed(lineno, "expected 8 tab-separated fields"));
         };
         let parse_u64 = |field: &str, what: &str| -> Result<u64> {
             field
@@ -84,8 +84,6 @@ pub fn decode(text: &str) -> Result<Vec<StoredModelMeta>> {
             node_count: parse_u64(node_count, "node count")? as usize,
             edge_count: parse_u64(edge_count, "edge count")? as usize,
             train_len: parse_u64(train_len, "train length")? as usize,
-            points_len: parse_u64(points_len, "points length")? as usize,
-            points_bytes: parse_u64(points_bytes, "points bytes")?,
         });
     }
     Ok(entries)
@@ -102,15 +100,13 @@ mod tests {
     fn meta(name: &str) -> StoredModelMeta {
         StoredModelMeta {
             name: name.to_string(),
-            version: 2,
+            version: 3,
             file_len: 12345,
             checksum: 0xdead_beef_cafe_f00d,
             pattern_length: 50,
             node_count: 120,
             edge_count: 300,
             train_len: 6000,
-            points_len: 5951,
-            points_bytes: 8 + 16 * 5951,
         }
     }
 
@@ -130,5 +126,11 @@ mod tests {
         let truncated: String = text.chars().take(text.len() - 10).collect();
         assert!(decode(&truncated).is_err());
         assert!(decode(&text.replace("12345", "xx")).is_err());
+        // A version-1 manifest (two more columns) sends the store to a rescan.
+        assert!(decode(
+            "s2g-store-manifest 1\n\
+             a\t2\t12345\tdeadbeefcafef00d\t50\t120\t300\t6000\t5951\t95224\n"
+        )
+        .is_err());
     }
 }

@@ -1,4 +1,4 @@
-//! The directory-backed, crash-safe, lazily-loaded model store.
+//! The directory-backed, crash-safe model store.
 //!
 //! One [`ModelStore`] owns one directory of `S2GMDL` model files plus a
 //! [`MANIFEST`](crate::manifest) listing. Three disciplines make it safe
@@ -9,16 +9,15 @@
 //!   directory is fsync'd after the rename. A crash at any instant leaves
 //!   either the old file or the new one, never a torn mix; leftover temp
 //!   files are ignored on startup and reaped by [`ModelStore::gc`].
-//! * **Lazy section residency** — opening the store reads only metadata;
-//!   first use of a model ([`ModelStore::get`]) reads its small sections
-//!   and *faults in* the dominant embedding-points section, verified by
-//!   its independent checksum. A configurable LRU budget bounds the total
-//!   resident points bytes: cold models fall back to ~nothing in memory
-//!   while their files stay on disk.
+//! * **No model cache** — opening the store reads only metadata, and
+//!   [`ModelStore::get`] is one whole-file read plus
+//!   [`codec::decode_model`]: the store keeps no model in memory. The
+//!   engine's registry above it (bounded by `serve --registry-capacity`)
+//!   is the one model cache.
 //! * **Self-healing startup** — the manifest is trusted only where it
-//!   matches the files on disk; everything else is re-derived from file
-//!   headers, unreadable files are quarantined (reported, never deleted),
-//!   and the manifest is rewritten to match reality.
+//!   matches the files on disk; everything else is re-derived from the
+//!   files themselves, unreadable files are quarantined (reported, never
+//!   deleted), and the manifest is rewritten to match reality.
 
 use std::collections::BTreeMap;
 use std::fs::{self, File};
@@ -148,70 +147,19 @@ impl DiskHealth {
     }
 }
 
-/// Construction parameters for a [`ModelStore`].
-#[derive(Debug, Clone, Default)]
-pub struct StoreConfig {
-    /// Maximum bytes of lazily-loaded (points) sections kept resident
-    /// across all models; `0` = unbounded. When a fault would exceed the
-    /// budget, the least-recently-used resident model is dropped back to
-    /// disk first. The model being faulted is never dropped, so a single
-    /// model larger than the budget still scores (the budget is then
-    /// transiently exceeded by that one model).
-    pub resident_budget_bytes: u64,
-}
-
-impl StoreConfig {
-    /// Sets the residency budget in bytes (`0` = unbounded).
-    pub fn with_resident_budget_bytes(mut self, bytes: u64) -> Self {
-        self.resident_budget_bytes = bytes;
-        self
-    }
-}
-
-/// The small, eagerly-readable sections of a v2 model file (everything but
-/// the points payload), kept as verified raw bytes so a fault only has to
-/// read and decode the points.
-struct EagerSections {
-    index: SectionIndex,
-    config: Vec<u8>,
-    embedding: Vec<u8>,
-    nodes: Vec<u8>,
-    graph: Vec<u8>,
-    train: Vec<u8>,
-}
-
-struct Entry {
-    meta: StoredModelMeta,
-    /// `None` until the first fault (or for v1 files, which have no index
-    /// and always load whole). Shared so a fault can read outside the
-    /// store lock.
-    eager: Option<Arc<EagerSections>>,
-    /// The fully materialised model, while resident.
-    resident: Option<Arc<Series2Graph>>,
-    /// LRU stamp from the store's logical clock.
-    last_used: u64,
-}
-
 struct Inner {
-    entries: BTreeMap<String, Entry>,
-    clock: u64,
-    resident_bytes: u64,
-    /// Files in the directory that failed header validation at open
+    entries: BTreeMap<String, StoredModelMeta>,
+    /// Files in the directory that failed validation at open
     /// (quarantined: listed, never deleted).
     unreadable: Vec<(String, String)>,
 }
 
-/// A directory-backed, crash-safe store of fitted models with lazy section
-/// loading. See the [module docs](self) for the guarantees.
+/// A directory-backed, crash-safe store of fitted models. See the
+/// [module docs](self) for the guarantees.
 pub struct ModelStore {
     dir: PathBuf,
-    budget: u64,
     inner: Mutex<Inner>,
-    /// Cumulative residency evictions (budget enforcement dropping a
-    /// model's points section); atomic so the gauge reads without the
-    /// store lock.
-    evictions: AtomicU64,
-    /// Late-bound observability hook: once attached, faults and writes
+    /// Late-bound observability hook: once attached, loads and writes
     /// record their latency histograms. Never affects store behaviour.
     obs: OnceLock<Arc<Obs>>,
     /// Degraded-mode state, shared with the background recovery probe.
@@ -239,7 +187,8 @@ pub struct GcReport {
 /// Outcome of [`ModelStore::migrate`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MigrateReport {
-    /// Models rewritten from format v1 to the current format.
+    /// Models rewritten from a legacy format (v1 or v2) to the current
+    /// one.
     pub migrated: Vec<String>,
     /// Models already stored in the current format.
     pub already_current: usize,
@@ -248,13 +197,13 @@ pub struct MigrateReport {
 impl ModelStore {
     /// Opens (creating if needed) the store at `dir`: loads the manifest,
     /// reconciles it against the files actually present, quarantines
-    /// unreadable files and ignores `*.tmp` leftovers. No model payload is
+    /// unreadable files and ignores `*.tmp` leftovers. No model file is
     /// read for files the manifest already describes accurately.
     ///
     /// # Errors
     /// Filesystem errors on the directory itself; individual bad model
     /// files never fail the open (see [`ModelStore::unreadable`]).
-    pub fn open(dir: impl Into<PathBuf>, config: StoreConfig) -> Result<ModelStore> {
+    pub fn open(dir: impl Into<PathBuf>) -> Result<ModelStore> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
 
@@ -295,40 +244,28 @@ impl ModelStore {
                     continue;
                 }
             };
-            let (meta, eager) = match manifest_entries.get(stem) {
+            let meta = match manifest_entries.get(stem) {
                 // The manifest line matches the file on disk: trust it and
-                // skip all payload reads — this is the O(1)-per-model path.
-                Some(meta) if meta.file_len == file_len => (meta.clone(), None),
-                _ => match derive_meta(&path, stem, file_len) {
-                    Ok(derived) => derived,
+                // skip the file read — this is the O(1)-per-model path.
+                Some(meta) if meta.file_len == file_len => meta.clone(),
+                _ => match derive_meta(&path, stem) {
+                    Ok(meta) => meta,
                     Err(e) => {
                         unreadable.push((file_name, e.to_string()));
                         continue;
                     }
                 },
             };
-            entries.insert(
-                stem.to_string(),
-                Entry {
-                    meta,
-                    eager,
-                    resident: None,
-                    last_used: 0,
-                },
-            );
+            entries.insert(stem.to_string(), meta);
         }
 
         let health = DiskHealth::new(dir.clone());
         let store = ModelStore {
             dir,
-            budget: config.resident_budget_bytes,
             inner: Mutex::new(Inner {
                 entries,
-                clock: 0,
-                resident_bytes: 0,
                 unreadable,
             }),
-            evictions: AtomicU64::new(0),
             obs: OnceLock::new(),
             health,
         };
@@ -350,31 +287,20 @@ impl ModelStore {
         &self.dir
     }
 
-    /// The residency budget in bytes (`0` = unbounded).
-    pub fn resident_budget_bytes(&self) -> u64 {
-        self.budget
-    }
-
     fn lock(&self) -> MutexGuard<'_, Inner> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Attaches the observability registry: from here on, faults record
+    /// Attaches the observability registry: from here on, loads record
     /// `store_fault` latency and writes `store_write` latency. Idempotent
     /// (the first attach wins); never changes store behaviour.
     pub fn attach_obs(&self, obs: Arc<Obs>) {
         let _ = self.obs.set(obs);
     }
 
-    /// Cumulative count of residency evictions performed by budget
-    /// enforcement.
-    pub fn residency_evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
     /// Current write-availability mode: [`StoreMode::Degraded`] after a
-    /// persistent disk fault (writes refused, reads and resident models
-    /// keep serving), [`StoreMode::ReadWrite`] otherwise. The background
+    /// persistent disk fault (writes refused, reads keep serving),
+    /// [`StoreMode::ReadWrite`] otherwise. The background
     /// probe flips the mode back once the disk accepts writes again.
     pub fn mode(&self) -> StoreMode {
         if self.health.is_degraded() {
@@ -451,37 +377,22 @@ impl ModelStore {
     }
 
     /// Persists a fitted model under `name`, replacing any previous version
-    /// atomically, and leaves it resident (it is evidently hot). Returns
-    /// the stored metadata, whose `checksum` is the file trailer (identical
-    /// to [`codec::model_checksum`]).
+    /// atomically. Returns the stored metadata, whose `checksum` is the
+    /// file trailer (identical to [`codec::model_checksum`]).
     ///
     /// # Errors
     /// [`Error::InvalidName`] for names unusable as file names;
     /// [`Error::StoreDegraded`] while the store is in read-only degraded
     /// mode; filesystem errors otherwise (the previous version, if any, is
     /// untouched on failure).
-    pub fn put(&self, name: &str, model: &Arc<Series2Graph>) -> Result<StoredModelMeta> {
+    pub fn put(&self, name: &str, model: &Series2Graph) -> Result<StoredModelMeta> {
         validate_model_name(name)?;
         if self.health.is_degraded() {
             return Err(Error::StoreDegraded);
         }
         let write_started = Instant::now();
         let bytes = codec::encode_model(model);
-        let index = codec::parse_section_index(&bytes)?;
-        let points = *index.require(SectionKind::Points)?;
-        let meta = StoredModelMeta {
-            name: name.to_string(),
-            version: codec::FORMAT_VERSION,
-            file_len: bytes.len() as u64,
-            checksum: codec::checksum_trailer(&bytes),
-            pattern_length: model.pattern_length(),
-            node_count: model.node_count(),
-            edge_count: model.graph().edge_count(),
-            train_len: model.train_len(),
-            points_len: codec::points_len_from_entry(&points),
-            points_bytes: points.len,
-        };
-        let eager = Arc::new(slice_eager(&bytes, index)?);
+        let meta = meta_of(name, &bytes, model);
         self.atomic_write(&format!("{name}.{MODEL_EXT}"), &bytes)?;
         // Write latency covers encode + the crash-safe file write; the
         // manifest rewrite below is shared bookkeeping, not this model's
@@ -491,164 +402,44 @@ impl ModelStore {
         }
 
         let mut inner = self.lock();
-        inner.clock += 1;
-        let stamp = inner.clock;
-        if let Some(old) = inner.entries.remove(name) {
-            if old.resident.is_some() {
-                inner.resident_bytes -= old.meta.points_bytes;
-            }
-        }
-        inner.resident_bytes += meta.points_bytes;
-        inner.entries.insert(
-            name.to_string(),
-            Entry {
-                meta: meta.clone(),
-                eager: Some(eager),
-                resident: Some(Arc::clone(model)),
-                last_used: stamp,
-            },
-        );
-        self.enforce_budget(&mut inner, name);
+        inner.entries.insert(name.to_string(), meta.clone());
         let metas = collect_metas(&inner);
         drop(inner);
         self.write_manifest(&metas)?;
         Ok(meta)
     }
 
-    /// The model stored under `name`, faulting its points section in from
-    /// disk on first use (verified against its independent checksum) and
-    /// evicting the least-recently-used resident model(s) if the residency
-    /// budget would be exceeded.
+    /// The model stored under `name`: one whole-file read plus
+    /// [`codec::decode_model`], which verifies the file's checksum. The
+    /// store keeps nothing in memory, so every call reads the disk; the
+    /// engine registers what it loads, and its registry is the cache.
     ///
-    /// All file I/O and decoding happen *outside* the store lock, so a
-    /// slow cold fault never blocks other store operations. A concurrent
-    /// [`ModelStore::put`] of the same name can race the fault in two
-    /// ways, both handled without ever reporting spurious corruption: a
-    /// consistent read of the *previous* version is served as-is (the get
-    /// overlapped the put, so the pre-put model is a linearizable answer),
-    /// and a torn read (stale index offsets against the replacement file)
-    /// is resolved by one whole-file read, which cannot tear.
+    /// A concurrent [`ModelStore::put`] of the same name cannot tear the
+    /// read: one open file handle sees one consistent file, the previous
+    /// version or its replacement.
     ///
     /// # Errors
     /// [`Error::UnknownModel`] when the store has no such model; I/O or
     /// decode errors when its file went bad since open.
     pub fn get(&self, name: &str) -> Result<Arc<Series2Graph>> {
-        let path = self.model_path(name);
-        // Snapshot under the lock; never hold it across file I/O.
-        let (meta, eager) = {
-            let mut inner = self.lock();
-            inner.clock += 1;
-            let stamp = inner.clock;
-            let Some(entry) = inner.entries.get_mut(name) else {
-                return Err(Error::UnknownModel(name.to_string()));
-            };
-            entry.last_used = stamp;
-            if let Some(model) = &entry.resident {
-                return Ok(Arc::clone(model));
-            }
-            (entry.meta.clone(), entry.eager.clone())
-        };
-
-        // The read-fault injection point sits *after* the resident check:
-        // a dying disk fails cold faults, never models already in memory —
-        // that is exactly the degraded-serving contract.
+        if !self.lock().entries.contains_key(name) {
+            return Err(Error::UnknownModel(name.to_string()));
+        }
+        // A dying disk fails every load; models already registered with
+        // the engine never come back here, so they keep serving.
         if let Some(e) = s2g_failpoints::hit("store.read.eio") {
             return Err(e.into());
         }
-
-        let fault_started = Instant::now();
-        match fault_model(&path, &meta, eager) {
-            Ok((model, eager)) => {
-                if let Some(obs) = self.obs.get() {
-                    obs.store_fault.record_duration(fault_started.elapsed());
-                }
-                let mut inner = self.lock();
-                // Re-stamp recency at fault *completion*: the stamp taken
-                // when the fault began predates every get that ran while
-                // this thread was reading the file, so keeping it would
-                // let the budget evict the model that was just used most
-                // recently — load-through and hit must agree on recency.
-                inner.clock += 1;
-                let stamp = inner.clock;
-                match inner.entries.get_mut(name) {
-                    Some(entry) if entry.meta.checksum == meta.checksum => {
-                        entry.last_used = stamp;
-                        if let Some(resident) = &entry.resident {
-                            // Another thread won the fault; share its
-                            // handle so all callers hold one Arc.
-                            return Ok(Arc::clone(resident));
-                        }
-                        entry.resident = Some(Arc::clone(&model));
-                        if entry.eager.is_none() {
-                            entry.eager = eager;
-                        }
-                        inner.resident_bytes += meta.points_bytes;
-                        self.enforce_budget(&mut inner, name);
-                        Ok(model)
-                    }
-                    // Replaced or removed mid-fault: the decoded model
-                    // was the store's content when the fault began —
-                    // serve it uncached (the concurrent writer's
-                    // version takes over from the next get).
-                    _ => Ok(model),
-                }
-            }
-            Err(_) => {
-                // The multi-read fault can tear when a concurrent put
-                // renames the file between section reads (stale index
-                // offsets against the replacement — and the replacement's
-                // trailer may even ABA back to the snapshot value). One
-                // whole-file read is immune (one open fd = one consistent
-                // inode, even under further renames), so it is the
-                // arbiter: if *this* also fails, the file really is bad,
-                // and the decode error names why.
-                let bytes = fs::read(&path)?;
-                let model = Arc::new(codec::decode_model(&bytes)?);
-                let trailer = codec::checksum_trailer(&bytes);
-                if let Some(obs) = self.obs.get() {
-                    obs.store_fault.record_duration(fault_started.elapsed());
-                }
-                let mut inner = self.lock();
-                inner.clock += 1;
-                let stamp = inner.clock;
-                if let Some(entry) = inner.entries.get_mut(name) {
-                    entry.last_used = stamp;
-                    if entry.meta.checksum == trailer && entry.resident.is_none() {
-                        entry.resident = Some(Arc::clone(&model));
-                        inner.resident_bytes += entry.meta.points_bytes;
-                        self.enforce_budget(&mut inner, name);
-                    }
-                }
-                Ok(model)
-            }
+        let load_started = Instant::now();
+        let model = codec::load_model(self.model_path(name))?;
+        if let Some(obs) = self.obs.get() {
+            obs.store_fault.record_duration(load_started.elapsed());
         }
+        Ok(Arc::new(model))
     }
 
-    /// Drops least-recently-used resident models (never `keep`) until the
-    /// budget is respected.
-    fn enforce_budget(&self, inner: &mut Inner, keep: &str) {
-        if self.budget == 0 {
-            return;
-        }
-        while inner.resident_bytes > self.budget {
-            let victim = inner
-                .entries
-                .iter()
-                .filter(|(name, e)| e.resident.is_some() && name.as_str() != keep)
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(name, _)| name.clone());
-            let Some(victim) = victim else {
-                break; // only `keep` is resident; it may transiently exceed
-            };
-            let entry = inner.entries.get_mut(&victim).expect("victim exists");
-            entry.resident = None;
-            inner.resident_bytes -= entry.meta.points_bytes;
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Deletes the model stored under `name` (file, manifest line, resident
-    /// state). `Ok(false)` when it was not present.
+    /// Deletes the model stored under `name` (file and manifest line).
+    /// `Ok(false)` when it was not present.
     ///
     /// # Errors
     /// [`Error::StoreDegraded`] while the store is in read-only degraded
@@ -658,11 +449,8 @@ impl ModelStore {
             return Err(Error::StoreDegraded);
         }
         let mut inner = self.lock();
-        let Some(entry) = inner.entries.remove(name) else {
+        if inner.entries.remove(name).is_none() {
             return Ok(false);
-        };
-        if entry.resident.is_some() {
-            inner.resident_bytes -= entry.meta.points_bytes;
         }
         let metas = collect_metas(&inner);
         drop(inner);
@@ -679,42 +467,25 @@ impl ModelStore {
     /// Metadata of the model stored under `name`, if any — header data
     /// only, no payload read.
     pub fn meta(&self, name: &str) -> Option<StoredModelMeta> {
-        self.lock().entries.get(name).map(|e| e.meta.clone())
+        self.lock().entries.get(name).cloned()
     }
 
     /// Adaptation lineage of the stored model under `name`: `Some` for an
     /// adapted snapshot, `None` for a pristine fit or unknown name.
-    /// Answered from the small train section (usually already resident as
-    /// an eager section) without faulting the points payload, and without
-    /// bumping residency recency — this is a metadata read.
+    /// A metadata read: the file's header, then its train section alone,
+    /// verified by the section's own checksum.
     ///
-    /// Adopted **v1** files always answer `None`: the store itself only
-    /// writes the current format, and surfacing a hand-placed v1 adapted
-    /// file's lineage would cost a whole-file decode per metadata read.
-    /// Run [`ModelStore::migrate`] to rewrite such files to v2, after
-    /// which their lineage (if any) is visible here.
+    /// Adopted **v1** files always answer `None`: they have no section
+    /// index, and surfacing a hand-placed v1 adapted file's lineage would
+    /// cost a whole-file decode per metadata read. Run
+    /// [`ModelStore::migrate`] to rewrite such files in the current
+    /// format, after which their lineage (if any) is visible here.
     pub fn lineage(&self, name: &str) -> Option<AdaptationLineage> {
-        let (meta, eager) = {
-            let inner = self.lock();
-            let entry = inner.entries.get(name)?;
-            (entry.meta.clone(), entry.eager.clone())
-        };
-        if meta.version == 1 {
-            // Legacy files predate adaptation: the store only ever writes
-            // the current format, so a v1 file cannot be one of our
-            // adapted snapshots — and decoding it whole just to prove
-            // that would make a metadata read cost a full points decode.
-            // (`store migrate` rewrites v1 files to v2.)
-            return None;
-        }
-        let train: Vec<u8> = match eager {
-            Some(eager) => eager.train.clone(),
-            None => {
-                let path = self.model_path(name);
-                let file_len = fs::metadata(&path).ok()?.len();
-                load_eager(&path, file_len).ok()?.train
-            }
-        };
+        self.lock().entries.get(name)?;
+        let mut file = File::open(self.model_path(name)).ok()?;
+        // A v1 file reads as `None` here: it has no index.
+        let index = read_index(&mut file).ok()??;
+        let train = read_section(&mut file, &index, SectionKind::Train).ok()?;
         codec::peek_train_lineage(&train).ok().flatten()
     }
 
@@ -731,20 +502,6 @@ impl ModelStore {
     /// `true` when the store holds no models.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Bytes of lazily-loaded (points) sections currently resident.
-    pub fn resident_bytes(&self) -> u64 {
-        self.lock().resident_bytes
-    }
-
-    /// Number of models currently materialised in memory.
-    pub fn resident_models(&self) -> usize {
-        self.lock()
-            .entries
-            .values()
-            .filter(|e| e.resident.is_some())
-            .count()
     }
 
     /// Files quarantined at open: present in the directory but unreadable
@@ -804,7 +561,7 @@ impl ModelStore {
         })
     }
 
-    /// Rewrites every legacy (v1) file in the current sectioned format,
+    /// Rewrites every legacy (v1 or v2) file in the current format,
     /// atomically, leaving scores bit-identical. Already-current files are
     /// untouched.
     ///
@@ -813,20 +570,14 @@ impl ModelStore {
     /// migration; already-migrated models stay migrated).
     pub fn migrate(&self) -> Result<MigrateReport> {
         let mut report = MigrateReport::default();
-        let names: Vec<String> = self.lock().entries.keys().cloned().collect();
-        for name in names {
-            let is_v1 = self
-                .lock()
-                .entries
-                .get(&name)
-                .is_some_and(|e| e.meta.version == 1);
-            if !is_v1 {
+        for meta in self.list() {
+            if meta.version == codec::FORMAT_VERSION {
                 report.already_current += 1;
                 continue;
             }
-            let model = Arc::new(codec::load_model(self.model_path(&name))?);
-            self.put(&name, &model)?;
-            report.migrated.push(name);
+            let model = codec::load_model(self.model_path(&meta.name))?;
+            self.put(&meta.name, &model)?;
+            report.migrated.push(meta.name);
         }
         Ok(report)
     }
@@ -842,12 +593,9 @@ impl Drop for ModelStore {
 
 impl std::fmt::Debug for ModelStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.lock();
         f.debug_struct("ModelStore")
             .field("dir", &self.dir)
-            .field("models", &inner.entries.len())
-            .field("resident_bytes", &inner.resident_bytes)
-            .field("budget", &self.budget)
+            .field("models", &self.len())
             .finish()
     }
 }
@@ -885,14 +633,6 @@ impl ModelStorage for ModelStore {
         self.len()
     }
 
-    fn resident_bytes(&self) -> u64 {
-        ModelStore::resident_bytes(self)
-    }
-
-    fn residency_evictions(&self) -> u64 {
-        ModelStore::residency_evictions(self)
-    }
-
     fn mode(&self) -> StoreMode {
         ModelStore::mode(self)
     }
@@ -923,46 +663,23 @@ fn sync_dir(dir: &Path) -> Result<()> {
     Ok(())
 }
 
-/// Materialises a model from its file with no lock held: v1 files load
-/// whole; v2 files reuse the cached eager sections (reading them first if
-/// this is the very first fault) and read + verify just the points
-/// payload. Returns the model and the eager sections for caching.
-#[allow(clippy::type_complexity)]
-fn fault_model(
-    path: &Path,
-    meta: &StoredModelMeta,
-    eager: Option<Arc<EagerSections>>,
-) -> Result<(Arc<Series2Graph>, Option<Arc<EagerSections>>)> {
-    if meta.version == 1 {
-        // Legacy files have no section index: load whole.
-        return Ok((Arc::new(codec::load_model(path)?), None));
+/// Reads a model file's section index (`None` for a v1 file), checked
+/// against the file's length so no entry can send a reader past its end.
+fn read_index(file: &mut File) -> Result<Option<SectionIndex>> {
+    let file_len = file.metadata()?.len();
+    let (_, index) = codec::read_header(file)?;
+    if let Some(index) = &index {
+        index.validate_bounds(file_len)?;
     }
-    let eager = match eager {
-        Some(eager) => eager,
-        None => {
-            let file_len = fs::metadata(path)?.len();
-            Arc::new(load_eager(path, file_len)?)
-        }
-    };
-    let points = read_section(path, &eager.index, SectionKind::Points)?;
-    let model = codec::decode_model_from_sections(
-        &eager.config,
-        &eager.embedding,
-        &points,
-        &eager.nodes,
-        &eager.graph,
-        &eager.train,
-    )?;
-    Ok((Arc::new(model), Some(eager)))
+    Ok(index)
 }
 
 /// Reads one section payload out of a model file by offset, verifying its
 /// independent checksum.
-fn read_section(path: &Path, index: &SectionIndex, kind: SectionKind) -> Result<Vec<u8>> {
+fn read_section(file: &mut File, index: &SectionIndex, kind: SectionKind) -> Result<Vec<u8>> {
     let entry = *index.require(kind)?;
     let len = usize::try_from(entry.len)
         .map_err(|_| Error::Format(format!("{kind} length exceeds the platform word size")))?;
-    let mut file = File::open(path)?;
     file.seek(SeekFrom::Start(entry.offset))?;
     let mut payload = vec![0u8; len];
     file.read_exact(&mut payload)?;
@@ -970,97 +687,29 @@ fn read_section(path: &Path, index: &SectionIndex, kind: SectionKind) -> Result<
     Ok(payload)
 }
 
-/// Reads and verifies every eager (non-points) section of a v2 file.
-fn load_eager(path: &Path, file_len: u64) -> Result<EagerSections> {
-    let mut file = File::open(path)?;
-    let (version, index) = codec::read_header(&mut file)?;
-    drop(file);
-    let index = match (version, index) {
-        (2, Some(index)) => index,
-        _ => {
-            return Err(Error::Storage(format!(
-                "{} is a v{version} file without a section index",
-                path.display()
-            )))
-        }
-    };
-    index.validate_bounds(file_len)?;
-    Ok(EagerSections {
-        config: read_section(path, &index, SectionKind::Config)?,
-        embedding: read_section(path, &index, SectionKind::Embedding)?,
-        nodes: read_section(path, &index, SectionKind::Nodes)?,
-        graph: read_section(path, &index, SectionKind::Graph)?,
-        train: read_section(path, &index, SectionKind::Train)?,
-        index,
-    })
-}
-
-/// Slices the eager sections out of a freshly encoded model (no file I/O).
-fn slice_eager(bytes: &[u8], index: SectionIndex) -> Result<EagerSections> {
-    let slice = |kind| index.slice(bytes, kind).map(<[u8]>::to_vec);
-    Ok(EagerSections {
-        config: slice(SectionKind::Config)?,
-        embedding: slice(SectionKind::Embedding)?,
-        nodes: slice(SectionKind::Nodes)?,
-        graph: slice(SectionKind::Graph)?,
-        train: slice(SectionKind::Train)?,
-        index,
-    })
-}
-
-/// Derives a model's metadata from its file alone (manifest miss). For v2
-/// files this reads header + small sections; legacy v1 files are decoded
-/// whole (they have no index — [`ModelStore::migrate`] fixes that).
-fn derive_meta(
-    path: &Path,
-    name: &str,
-    file_len: u64,
-) -> Result<(StoredModelMeta, Option<Arc<EagerSections>>)> {
-    let mut file = File::open(path)?;
-    let (version, _) = codec::read_header(&mut file)?;
-    if version == 1 {
-        let bytes = fs::read(path)?;
-        let model = codec::decode_model(&bytes)?;
-        let points_len = model.embedding().points.len();
-        let meta = StoredModelMeta {
-            name: name.to_string(),
-            version: 1,
-            file_len,
-            checksum: codec::checksum_trailer(&bytes),
-            pattern_length: model.pattern_length(),
-            node_count: model.node_count(),
-            edge_count: model.graph().edge_count(),
-            train_len: model.train_len(),
-            points_len,
-            points_bytes: 8 + 16 * points_len as u64,
-        };
-        return Ok((meta, None));
-    }
-
-    // Current format: metadata comes from the header and small sections.
-    file.seek(SeekFrom::End(-8))?;
-    let mut trailer = [0u8; 8];
-    file.read_exact(&mut trailer)?;
-    drop(file);
-    let eager = load_eager(path, file_len)?;
-    let points = *eager.index.require(SectionKind::Points)?;
-    let config = codec::decode_config_section(&eager.config)?;
-    let (node_count, edge_count) = codec::peek_graph_counts(&eager.graph)?;
-    let meta = StoredModelMeta {
+/// The metadata of `model`, stored as the encoded file `bytes`.
+fn meta_of(name: &str, bytes: &[u8], model: &Series2Graph) -> StoredModelMeta {
+    StoredModelMeta {
         name: name.to_string(),
-        version,
-        file_len,
-        checksum: u64::from_le_bytes(trailer),
-        pattern_length: config.pattern_length,
-        node_count,
-        edge_count,
-        train_len: codec::peek_train_len(&eager.train)?,
-        points_len: codec::points_len_from_entry(&points),
-        points_bytes: points.len,
-    };
-    Ok((meta, Some(Arc::new(eager))))
+        version: u32::from_le_bytes(bytes[8..12].try_into().expect("4-byte version")),
+        file_len: bytes.len() as u64,
+        checksum: codec::checksum_trailer(bytes),
+        pattern_length: model.pattern_length(),
+        node_count: model.node_count(),
+        edge_count: model.graph().edge_count(),
+        train_len: model.train_len(),
+    }
+}
+
+/// Derives a model's metadata from its file alone (manifest miss): the
+/// file is read and decoded whole, so a file that fails its checksum is
+/// quarantined at open rather than on first use.
+fn derive_meta(path: &Path, name: &str) -> Result<StoredModelMeta> {
+    let bytes = fs::read(path)?;
+    let model = codec::decode_model(&bytes)?;
+    Ok(meta_of(name, &bytes, &model))
 }
 
 fn collect_metas(inner: &Inner) -> Vec<StoredModelMeta> {
-    inner.entries.values().map(|e| e.meta.clone()).collect()
+    inner.entries.values().cloned().collect()
 }

@@ -12,7 +12,7 @@
 //! | [`core`] | `s2g-core` | the Series2Graph model (`fit` → `score` → `top-k`) |
 //! | [`adapt`] | `s2g-adapt` | online graph adaptation: decayed edge updates, drift detection, adaptive policy, versioned snapshots |
 //! | [`engine`] | `s2g-engine` | concurrent multi-series serving: model registry, persistence, sharded worker pool |
-//! | [`store`] | `s2g-store` | durable model store: crash-safe directory, manifest, lazy section residency |
+//! | [`store`] | `s2g-store` | durable model store: crash-safe directory, manifest, whole-file loads |
 //! | [`server`] | `s2g-server` | TCP/HTTP front-end over the engine, protocol client, `s2g` CLI |
 //! | [`obs`] | `s2g-obs` | observability: lock-free latency histograms, request tracing, leveled logging |
 //! | [`timeseries`] | `s2g-timeseries` | series container, distances, windows, filters, CSV I/O |
@@ -122,7 +122,7 @@ pub use s2g_adapt as adapt;
 /// Concurrent multi-series detection engine (re-export of `s2g-engine`).
 pub use s2g_engine as engine;
 
-/// Durable, lazily-loaded model store (re-export of `s2g-store`).
+/// Durable model store (re-export of `s2g-store`).
 pub use s2g_store as store;
 
 /// TCP/HTTP serving front-end over the engine (re-export of `s2g-server`).
@@ -159,6 +159,6 @@ pub mod prelude {
     pub use s2g_eval::topk::{top_k_accuracy, GroundTruth};
     pub use s2g_eval::{run_gauntlet, GauntletConfig, Scenario};
     pub use s2g_obs::{Histogram, Obs, TraceId};
-    pub use s2g_store::{ModelStore, StoreConfig};
+    pub use s2g_store::ModelStore;
     pub use s2g_timeseries::TimeSeries;
 }

@@ -7,8 +7,8 @@
 //!   own with `Pca::transform_row`, rotated, assigned to a node with the
 //!   ray's unit vector rebuilt from its angle, and walked through the CSR
 //!   view; the library's profile functions then turn the contributions into
-//!   scores. The projected trajectories, the fitted one included, are
-//!   compared too;
+//!   scores. The projected trajectories, the one `Embedding::fit` returns
+//!   on the training series included, are compared too;
 //! * a `StreamingScorer` fed the series one point at a time. A streaming
 //!   session sums each window's contributions directly instead of through
 //!   prefix sums, so it is compared where the two agree exactly: the
@@ -16,10 +16,15 @@
 //!   against the same direct sum over the reference contributions.
 //!
 //! Series are shorter than, as long as and longer than the training series.
+//!
+//! A last check guards the model's size: a fitted model keeps no training
+//! trajectory, so its file is the graph plus the embedding basis.
 
+use series2graph::core::embedding::Embedding;
 use series2graph::core::nodes::NodeSet;
 use series2graph::core::scoring;
 use series2graph::datasets::srw::{generate_srw, SrwConfig};
+use series2graph::engine::codec::{self, SectionKind};
 use series2graph::linalg::vector::{Vec2, Vec3};
 use series2graph::prelude::*;
 use series2graph::timeseries::stats::rolling_sum;
@@ -165,8 +170,13 @@ fn batch_scores_match_the_reference_and_a_streaming_session() {
     for (seed, (config, query_length)) in (1u64..).zip(configs) {
         let train = srw(TRAIN_LEN, seed);
         let model = Series2Graph::fit(&train, &config).unwrap();
+        assert!(
+            model.embedding().points.is_empty(),
+            "a fitted model keeps no trajectory, seed {seed}"
+        );
+        let fitted = Embedding::fit(&train, &config).unwrap();
         assert_eq!(
-            point_bits(&model.embedding().points),
+            point_bits(&fitted.points),
             point_bits(&reference_points(&model, &train)),
             "fitted trajectory, seed {seed}"
         );
@@ -177,4 +187,26 @@ fn batch_scores_match_the_reference_and_a_streaming_session() {
             assert_eq!(scored, length - query_length + 1);
         }
     }
+}
+
+#[test]
+fn a_200k_point_model_file_is_the_graph_and_the_basis() {
+    let train = srw(200_000, 9);
+    let model = Series2Graph::fit(&train, &S2gConfig::new(50)).unwrap();
+    let bytes = codec::encode_model(&model);
+    // The per-gap training contributions are 1.6 MB of this; the
+    // trajectory older formats stored would add another 3.2 MB.
+    assert!(
+        bytes.len() <= 1_700_000,
+        "a 200k-point model encodes to {} bytes",
+        bytes.len()
+    );
+    let index = codec::parse_section_index(&bytes).unwrap();
+    assert!(
+        index
+            .entries()
+            .iter()
+            .all(|entry| entry.kind.tag() != SectionKind::Points.tag()),
+        "the section index lists a points section"
+    );
 }
